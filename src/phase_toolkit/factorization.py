@@ -69,14 +69,55 @@ def associated_polynomial(acf: Autocorrelation,
     return AssociatedPolynomial(np.array(acf.coeffs))
 
 
-def _evaluation_bound(desc_abs: np.ndarray, magnitude: float) -> float:
-    """Scale of rounding noise when evaluating the polynomial at |z| = magnitude."""
-    return float(max(np.polyval(desc_abs, magnitude), desc_abs.max()))
+def _evaluation_bound(desc_abs: np.ndarray, magnitude):
+    """Scale of rounding noise when evaluating the polynomial at |z| = magnitude.
+
+    `magnitude` may be a scalar or an array of moduli.
+    """
+    return np.maximum(np.polyval(desc_abs, magnitude), desc_abs.max())
 
 
-def _polish(desc: np.ndarray, start: complex, max_iter: int) -> complex:
-    """Newton iteration on the given (descending) coefficients."""
-    deriv = np.polyder(desc)
+def _newton(desc: np.ndarray, deriv: np.ndarray, desc_abs: np.ndarray, starts,
+            max_iter: int):
+    """Newton iteration from every start at once; returns (points, converged).
+
+    An iterate stops once its step is at most 4 eps |z| or no larger than
+    the evaluation noise eps * B(|z|) / |P'(z)|: below that floor the step
+    is rounding noise, and without this rule iterates near clustered or
+    near-circle zeros wander until max_iter.  B is taken at the start,
+    which Newton's method leaves only by a tiny step on the iterates that
+    converge.
+    """
+    z = np.array(starts, dtype=complex)
+    noise = _EPS * _evaluation_bound(desc_abs, np.abs(z))
+    converged = np.zeros(z.shape, dtype=bool)
+    active = np.arange(z.size)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        w = z[active]
+        slope = np.polyval(deriv, w)
+        value = np.polyval(desc, w)
+        moving = slope != 0
+        step = np.zeros_like(w)
+        step[moving] = value[moving] / slope[moving]
+        w = w - step
+        z[active] = w
+        done = (np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(w))) | (
+            np.abs(value) <= noise[active])
+        done &= moving & np.isfinite(w)
+        converged[active[done]] = True
+        active = active[moving & ~done & np.isfinite(w)]
+    return z, converged
+
+
+def _polish(desc: np.ndarray, deriv: np.ndarray, start: complex, max_iter: int) -> complex:
+    """Newton iteration on the given (descending) coefficients and their derivative.
+
+    The top-down clustering keeps this plain step rule: with the noise floor
+    of `_newton` its verdicts on repeated and clustered zeros shift between
+    wrong pairs and typed errors.
+    """
     z = complex(start)
     for _ in range(max_iter):
         slope = np.polyval(deriv, z)
@@ -89,25 +130,35 @@ def _polish(desc: np.ndarray, start: complex, max_iter: int) -> complex:
     return z
 
 
-def _multiplicity_consistent(derivatives, abs_derivatives, z: complex, mult: int,
-                             cfg: ToleranceConfig) -> bool:
+def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int,
+                             cfg: ToleranceConfig):
     """True when P and its first mult-1 derivatives vanish at z but the next does not.
 
     Vanishing is judged against cfg.residual_tol, while "does not vanish"
     only has to clear the rounding noise of the evaluation (a few orders
     above machine epsilon): genuine high-order derivative values can sit far
-    below any fixed fraction of the coefficient-sum bound.
+    below any fixed fraction of the coefficient-sum bound.  `z` may be an
+    array of points, in which case the verdict is elementwise.
     """
-    mag = abs(z)
+    mag = np.abs(z)
+    consistent = np.ones(np.shape(z), dtype=bool)
     for k in range(mult):
         bound = _evaluation_bound(abs_derivatives[k], mag)
-        if abs(np.polyval(derivatives[k], z)) > cfg.residual_tol * bound:
-            return False
+        consistent &= np.abs(np.polyval(derivatives[k], z)) <= cfg.residual_tol * bound
+        if not consistent.any():
+            return consistent
     if mult < len(derivatives):
         bound = _evaluation_bound(abs_derivatives[mult], mag)
-        if abs(np.polyval(derivatives[mult], z)) <= 1e4 * _EPS * bound:
-            return False
-    return True
+        consistent &= np.abs(np.polyval(derivatives[mult], z)) > 1e4 * _EPS * bound
+    return consistent
+
+
+def _derivatives(desc: np.ndarray, order: int):
+    """P and its first `order` derivatives (descending coefficients), and their moduli."""
+    derivatives = [desc]
+    for _ in range(order):
+        derivatives.append(np.polyder(derivatives[-1]))
+    return derivatives, [np.abs(d) for d in derivatives]
 
 
 def _gather_radius(mult: int, cfg: ToleranceConfig) -> float:
@@ -118,33 +169,54 @@ def _gather_radius(mult: int, cfg: ToleranceConfig) -> float:
     return max(cfg.cluster_radius, 10.0 * _EPS ** (1.0 / mult))
 
 
-def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
-    """All zeros of a polynomial as (root, multiplicity) pairs.
+def _isolated(points: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the points with no other point within radius * max(1, |point|)."""
+    gaps = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1, initial=np.inf) > radius * np.maximum(1.0, np.abs(points))
 
-    Companion-matrix eigenvalues are clustered top-down: for each candidate
-    multiplicity m the nearby eigenvalues are averaged and the mean is
-    polished with Newton's method on the (m-1)-th derivative, which has a
-    simple zero at an m-fold root.  A cluster is accepted only if the value
-    of P and its first m-1 derivatives at the polished point are at rounding
-    level while the m-th derivative is decisively nonzero.
+
+def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives,
+                    cfg: ToleranceConfig):
+    """Polished simple roots and the mask of eigenvalues they came from.
+
+    An eigenvalue is certified as a simple root when no other eigenvalue
+    lies within the multiplicity-2 gathering radius, Newton's method
+    converges from it, the forward-error estimate eps * B(|z|) / |P'(z)| is
+    within cfg.cluster_radius, P vanishes while P' does not, and the
+    polished points stay apart.  The error estimate is what rejects the
+    members of a root of multiplicity three or more: their eigenvalues
+    scatter far beyond the radius, and P is at rounding level there.
     """
-    asc = _as_complex_vector(coeffs_ascending)
-    nonzero = np.nonzero(np.abs(asc) > 0)[0]
-    if nonzero.size == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    asc = asc[: nonzero[-1] + 1]
-    degree = asc.size - 1
-    if degree == 0:
-        return []
+    radius = _gather_radius(2, cfg)
+    candidates = np.flatnonzero(_isolated(eigenvalues, radius))
+    roots, converged = _newton(derivatives[0], derivatives[1], abs_derivatives[0],
+                               eigenvalues[candidates], cfg.max_newton_iter)
+    candidates, roots = candidates[converged], roots[converged]
+    mag = np.abs(roots)
+    error = _EPS * _evaluation_bound(abs_derivatives[0], mag)
+    keep = error <= cfg.cluster_radius * np.maximum(1.0, mag) * np.abs(
+        np.polyval(derivatives[1], roots))
+    keep &= _multiplicity_consistent(derivatives, abs_derivatives, roots, 1, cfg)
+    candidates, roots = candidates[keep], roots[keep]
+    apart = _isolated(roots, radius)
+    certified = np.zeros(eigenvalues.size, dtype=bool)
+    certified[candidates[apart]] = True
+    return roots[apart], certified
 
-    desc = asc[::-1]
-    derivatives = [desc]
-    for _ in range(degree):
-        derivatives.append(np.polyder(derivatives[-1]))
-    abs_derivatives = [np.abs(d) for d in derivatives]
 
-    remaining = sorted(np.roots(desc), key=lambda z: (z.real, z.imag))
-    found = []
+def _cluster_top_down(leftover, derivatives, abs_derivatives, cfg: ToleranceConfig,
+                      found: list) -> None:
+    """Place the leftover eigenvalues as (root, multiplicity) pairs appended to `found`.
+
+    For each candidate multiplicity m, from the number of leftovers down to
+    1, the nearby leftovers are averaged and the mean is polished with
+    Newton's method on the (m-1)-th derivative, which has a simple zero at
+    an m-fold root.  A cluster is accepted only if the value of P and its
+    first m-1 derivatives at the polished point are at rounding level while
+    the m-th derivative is decisively nonzero.
+    """
+    remaining = sorted(leftover, key=lambda z: (z.real, z.imag))
     while remaining:
         placed = False
         for mult in range(len(remaining), 0, -1):
@@ -157,7 +229,8 @@ def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
                 near.sort(key=lambda w: abs(w - seed))
                 group = near[:mult]
                 center = complex(np.mean(group))
-                root = _polish(derivatives[mult - 1], center, cfg.max_newton_iter)
+                root = _polish(derivatives[mult - 1], derivatives[mult], center,
+                               cfg.max_newton_iter)
                 if not np.isfinite(root.real) or not np.isfinite(root.imag):
                     continue
                 if not _multiplicity_consistent(derivatives, abs_derivatives, root, mult, cfg):
@@ -173,6 +246,39 @@ def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
             raise RootFindingError(
                 "root polishing did not converge to a certified multiplicity split",
                 partial=found)
+
+
+def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
+    """All zeros of a polynomial as (root, multiplicity) pairs.
+
+    Simple roots, the generic case, are certified first: every isolated
+    companion-matrix eigenvalue is Newton-polished in one vectorised pass
+    and accepted when Newton converges, the forward-error estimate
+    eps * B(|z|) / |P'(z)| is within cfg.cluster_radius, and P vanishes
+    while P' clearly does not (see `_certify_simple`).
+
+    Only the eigenvalues this pass rejects, which happens at multiple roots
+    and at roots too close together or too ill-conditioned to certify one
+    by one, are clustered top-down by `_cluster_top_down`, with candidate
+    multiplicities bounded by the number of leftovers.
+    """
+    asc = _as_complex_vector(coeffs_ascending)
+    nonzero = np.nonzero(np.abs(asc) > 0)[0]
+    if nonzero.size == 0:
+        raise ValueError("zero polynomial has no well-defined roots")
+    asc = asc[: nonzero[-1] + 1]
+    degree = asc.size - 1
+    if degree == 0:
+        return []
+
+    desc = asc[::-1]
+    eigenvalues = np.roots(desc)
+    simple, certified = _certify_simple(eigenvalues, *_derivatives(desc, 1), cfg)
+    found = [(complex(z), 1) for z in simple]
+    leftover = eigenvalues[~certified]
+    if leftover.size:
+        # an m-fold cluster needs derivatives up to order m <= len(leftover)
+        _cluster_top_down(leftover, *_derivatives(desc, leftover.size), cfg, found)
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     return found
 

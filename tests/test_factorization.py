@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from phase_toolkit import (AssociatedPolynomial, RootFindingError, Signal,
-                           associated_polynomial, autocorrelation,
+import phase_toolkit.factorization as factorization
+from phase_toolkit import (DEFAULT_CONFIG, AssociatedPolynomial, RootFindingError,
+                           Signal, associated_polynomial, autocorrelation,
                            cluster_roots, find_roots, pair_roots,
                            pairs_from_zeros, synthesize)
 
@@ -99,6 +100,103 @@ def test_cluster_roots_mixed_multiplicities():
         match = [r for r, mm in found if mm == m]
         assert len(match) == 1
         assert abs(match[0] - z) < 1e-8 * max(1.0, abs(z))
+
+
+def test_cluster_roots_multiple_roots_go_through_fallback(monkeypatch):
+    # the simple-root pass must leave every member of the triple and the
+    # double root to the top-down clustering, which certifies them whole
+    target = [(0.5 + 0.5j, 3), (-1.25, 2), (2.0j, 1)]
+    coeffs_desc = np.poly([complex(z) for z, m in target for _ in range(m)])
+    clustered = []
+    top_down = factorization._cluster_top_down
+
+    def recording(leftover, *args):
+        found = args[-1]
+        before = len(found)
+        top_down(leftover, *args)
+        clustered.extend(found[before:])
+
+    monkeypatch.setattr(factorization, "_cluster_top_down", recording)
+    cluster_roots(coeffs_desc[::-1])
+    assert sorted(m for _, m in clustered) == [2, 3]
+    for z, m in target[:2]:
+        match = [r for r, mm in clustered if mm == m]
+        assert abs(match[0] - z) < 1e-8 * max(1.0, abs(z))
+
+
+def _stratified_zeros(rng, count):
+    """One zero per angular sector, radius 1.15-3, each on a random side of the circle."""
+    angles = -np.pi + 2.0 * np.pi * (np.arange(count) + rng.uniform(0.0, 1.0, count)) / count
+    zeros = rng.uniform(1.15, 3.0, count) * np.exp(1j * angles)
+    inside = rng.uniform(size=count) < 0.5
+    zeros[inside] = 1.0 / np.conj(zeros[inside])
+    return [complex(z) for z in zeros]
+
+
+@pytest.fixture
+def no_top_down(monkeypatch):
+    """Fail the test if any root reaches the top-down multiplicity search."""
+    def refuse(*args):
+        raise AssertionError("a simple root reached the top-down clustering")
+
+    monkeypatch.setattr(factorization, "_cluster_top_down", refuse)
+
+
+def test_find_roots_generic_n24_certifies_simple_roots_only(no_top_down):
+    # a degree-46 associated polynomial from known zeros
+    rng = np.random.default_rng(24)
+    for trial in range(3):
+        zeros = _stratified_zeros(rng, 23)
+        poly = _poly_of(synthesize(zeros, 1.0).values)
+        assert poly.degree == 46
+        pairs = pair_roots(find_roots(poly), leading=poly.leading)
+        assert len(pairs.pairs) == 23
+        for z in zeros:
+            rep = z if abs(z) > 1.0 else 1.0 / z.conjugate()
+            best = min(pairs.pairs, key=lambda p: abs(p.zero - rep))
+            assert best.multiplicity == 1 and not best.on_circle
+            assert abs(best.zero - rep) < 1e-6 * abs(rep)
+
+
+def _assert_matches_high_precision(coeffs_desc, found):
+    """Every certified root lies within its certified radius of a 50-digit root."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in coeffs_desc],
+                                 maxsteps=200, extraprec=60)
+    exact = [complex(z) for z in exact]
+    assert sum(m for _, m in found) == len(exact)
+    for root, mult in found:
+        assert mult == 1
+        nearest = min(exact, key=lambda z: abs(z - root))
+        assert abs(nearest - root) <= DEFAULT_CONFIG.cluster_radius * max(1.0, abs(root))
+        exact.remove(nearest)
+
+
+@pytest.mark.parametrize("degree", [14, 22, 30])
+def test_cluster_roots_matches_mpmath_generic(degree):
+    rng = np.random.default_rng(degree)
+    coeffs_desc = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    _assert_matches_high_precision(coeffs_desc, cluster_roots(coeffs_desc[::-1]))
+    poly = _poly_of(synthesize(_stratified_zeros(rng, degree // 2), 1.0).values)
+    _assert_matches_high_precision(poly.coeffs[::-1], find_roots(poly))
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-4, 1e-3, 1e-2])
+def test_find_roots_matches_mpmath_near_circle(gap, no_top_down):
+    # Newton stops at the evaluation-noise floor, so even the closest pair
+    # is certified by the simple-root pass
+    rng = np.random.default_rng(int(-np.log10(gap)))
+    near = complex((1.0 + gap) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+    zeros = [near] + [z for z in _stratified_zeros(rng, 8)
+                      if min(abs(z - near), abs(1.0 / z.conjugate() - near)) > 0.2]
+    poly = _poly_of(synthesize(zeros, 1.0).values)
+    roots = find_roots(poly)
+    _assert_matches_high_precision(poly.coeffs[::-1], roots)
+    pairs = pair_roots(roots, leading=poly.leading)
+    closest = min(pairs.pairs, key=lambda p: abs(p.zero - near))
+    assert not closest.on_circle
+    assert abs(closest.zero - near) < 1e-6
 
 
 def test_cluster_roots_zero_polynomial():
