@@ -3,14 +3,15 @@
 Each criterion asks whether some admissible subset of the zeros can be
 reflected across the unit circle without breaking the side information
 (known moduli or phases of individual components).  The tests are exact
-algebraic identities in the elementary symmetric polynomials of the zero
-set, evaluated within a tolerance band.
+algebraic identities in the elementary symmetric polynomials S_l of the
+zero set, evaluated within a tolerance band.  Up to sign and amplitude,
+S_l is the coefficient x[N-1-l] of the signal with those zeros, so every
+criterion compares columns of one `reflection_table` with its first row.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +27,34 @@ def _zeros_of(source) -> tuple:
     return tuple(complex(z) for z in zeros)
 
 
+def reflection_table(zeros, reflectable=()) -> np.ndarray:
+    """Rows w * S_0..S_k for every choice of reflected `reflectable` positions.
+
+    Bit j of the row index, counted from the most significant, reflects the
+    zero z at the j-th smallest reflectable position to 1/conj(z); w is the
+    product of |z| over the reflected zeros, so row 0 is S of the zeros
+    themselves.  Each position multiplies the rows by its factor 1 + z*t,
+    or |z| + (z/|z|)*t if reflected.
+    """
+    items = _zeros_of(zeros)
+    reflectable = set(reflectable)
+    rows = np.ones((1, 1), dtype=complex)
+    for position, z in enumerate(items):
+        grown = np.pad(rows, ((0, 0), (0, 1)))
+        grown[:, 1:] += z * rows
+        if position in reflectable:
+            if z == 0:
+                raise ValueError("cannot reflect a zero at the origin")
+            reflected = np.pad(abs(z) * rows, ((0, 0), (0, 1)))
+            reflected[:, 1:] += (z / abs(z)) * rows
+            grown = np.stack([grown, reflected], axis=1).reshape(-1, grown.shape[1])
+        rows = grown
+    return rows
+
+
 def elementary_symmetric_all(zeros) -> np.ndarray:
     """All elementary symmetric polynomials S_0..S_k of a zero multiset."""
-    items = _zeros_of(zeros)
-    table = np.zeros(len(items) + 1, dtype=complex)
-    table[0] = 1.0
-    for count, z in enumerate(items, start=1):
-        for slot in range(count, 0, -1):
-            table[slot] += z * table[slot - 1]
-    return table
+    return reflection_table(zeros)[0]
 
 
 def elementary_symmetric(zeros, order: int) -> complex:
@@ -135,8 +155,30 @@ class CriterionReport:
     borderline: bool = False
 
 
-def _in_band(residual: float, cfg: ToleranceConfig) -> bool:
-    return 0.1 * cfg.criterion_tol < residual <= 10.0 * cfg.criterion_tol
+def _in_band(residual, cfg: ToleranceConfig):
+    return (0.1 * cfg.criterion_tol < residual) & (residual <= 10.0 * cfg.criterion_tol)
+
+
+def _checked_zeros(zeros, support_len: int):
+    items = _zeros_of(zeros)
+    n = int(support_len)
+    if len(items) != n - 1:
+        raise ValueError(f"expected {n - 1} zeros, got {len(items)}")
+    return items, n
+
+
+def _family_rows(family: SubsetFamily):
+    """Admissible masks, the reference row, and each mask's row (column 0 is w)."""
+    masks = tuple(family.masks())
+    positions = sorted(set().union(*masks))
+    bits = {p: 1 << (len(positions) - 1 - i) for i, p in enumerate(positions)}
+    table = reflection_table(family.zeros, positions)
+    return masks, table[0], table[[sum(bits[p] for p in mask) for mask in masks]]
+
+
+def _report(masks, residuals, meets, borderline, kind: str = ROTATION) -> CriterionReport:
+    violations = tuple(Violation(masks[i], float(residuals[i])) for i in np.flatnonzero(meets))
+    return CriterionReport(not violations, kind, violations, bool(np.any(borderline)))
 
 
 def check_magnitude_uniqueness(zeros, end_offset: int, support_len: int,
@@ -147,28 +189,17 @@ def check_magnitude_uniqueness(zeros, end_offset: int, support_len: int,
     rotations and conjugate reflections (the reflection always preserves
     the centered modulus), otherwise modulo rotations alone.
     """
-    items = _zeros_of(zeros)
-    n = int(support_len)
-    if len(items) != n - 1:
-        raise ValueError(f"expected {n - 1} zeros, got {len(items)}")
+    items, n = _checked_zeros(zeros, support_len)
     if not 0 <= end_offset <= n - 1:
         raise ValueError(f"component offset {end_offset} outside 0..{n - 1}")
     centered = (n % 2 == 1) and (end_offset == (n - 1) // 2)
     family = SubsetFamily(items, exclude_full_free=centered, cfg=cfg)
-    reference = abs(elementary_symmetric(items, end_offset))
-    violations = []
-    borderline = False
-    for mask in family.masks():
-        reflected = modified_zero_set(items, mask)
-        weight = math.prod(abs(items[i]) for i in mask)
-        candidate = weight * abs(elementary_symmetric(reflected, end_offset))
-        scale = max(reference, candidate, 1.0)
-        residual = abs(reference - candidate) / scale
-        if residual <= cfg.criterion_tol:
-            violations.append(Violation(mask, residual))
-        borderline = borderline or _in_band(residual, cfg)
+    masks, reference, rows = _family_rows(family)
+    target, candidate = abs(reference[end_offset]), np.abs(rows[:, end_offset])
+    residuals = np.abs(target - candidate) / np.maximum(np.maximum(target, candidate), 1.0)
     kind = ROTATION_REFLECTION if centered else ROTATION
-    return CriterionReport(not violations, kind, tuple(violations), borderline)
+    return _report(masks, residuals, residuals <= cfg.criterion_tol,
+                   _in_band(residuals, cfg), kind)
 
 
 def check_all_moduli_uniqueness(zeros, support_len: int,
@@ -180,47 +211,36 @@ def check_all_moduli_uniqueness(zeros, support_len: int,
     fully reflected zero multiset, the only ambiguity is the conjugate
     reflection itself and the equivalence is widened accordingly.
     """
-    items = _zeros_of(zeros)
-    n = int(support_len)
-    if len(items) != n - 1:
-        raise ValueError(f"expected {n - 1} zeros, got {len(items)}")
-    family = SubsetFamily(items, cfg=cfg)
-    reference = np.abs(elementary_symmetric_all(items))
+    items, _ = _checked_zeros(zeros, support_len)
+    masks, reference, rows = _family_rows(SubsetFamily(items, cfg=cfg))
+    target, candidate = np.abs(reference), np.abs(rows)
+    residuals = np.abs(target - candidate) / np.maximum(np.maximum(target, candidate), 1.0)
+    worst = residuals.max(axis=1)
+    report = _report(masks, worst, worst <= cfg.criterion_tol, _in_band(residuals, cfg))
+    if not report.violations:
+        return report
     full_reflection = sorted(modified_zero_set(items, range(len(items))),
                              key=lambda z: (z.real, z.imag))
-    violations = []
-    borderline = False
-    only_reflections = True
-    for mask in family.masks():
-        reflected = modified_zero_set(items, mask)
-        weight = math.prod(abs(items[i]) for i in mask)
-        candidate = weight * np.abs(elementary_symmetric_all(reflected))
-        scale = np.maximum(np.maximum(reference, candidate), 1.0)
-        residuals = np.abs(reference - candidate) / scale
-        worst = float(residuals.max())
-        borderline = borderline or any(_in_band(float(r), cfg) for r in residuals)
-        if worst <= cfg.criterion_tol:
-            violations.append(Violation(mask, worst))
-            ordered = sorted(reflected, key=lambda z: (z.real, z.imag))
-            gaps = [abs(a - b) for a, b in zip(ordered, full_reflection)]
-            if max(gaps, default=0.0) > cfg.tol(max(abs(z) for z in items) if items else 1.0):
-                only_reflections = False
-    if violations and only_reflections:
-        # every modulus-preserving subset is the conjugate reflection itself,
-        # so the signal is determined once that reflection is identified away
-        return CriterionReport(True, ROTATION_REFLECTION, (), borderline)
-    return CriterionReport(not violations, ROTATION, tuple(violations), borderline)
+    limit = cfg.tol(max(abs(z) for z in items))
+    for violation in report.violations:
+        ordered = sorted(modified_zero_set(items, violation.mask),
+                         key=lambda z: (z.real, z.imag))
+        gaps = [abs(a - b) for a, b in zip(ordered, full_reflection)]
+        if max(gaps, default=0.0) > limit:
+            return report
+    # every modulus-preserving subset is the conjugate reflection itself,
+    # so the signal is determined once that reflection is identified away
+    return CriterionReport(True, ROTATION_REFLECTION, (), report.borderline)
 
 
-def _balance_report(pivot: complex, partner: complex, mask, cfg: ToleranceConfig):
+def _balance_report(pivot: complex, partner, cfg: ToleranceConfig):
     """Evaluate the alignment conditions Im(conj(pivot) * partner) = 0, Re >= 0."""
-    aligned = pivot.conjugate() * partner
-    scale = max(abs(pivot) * abs(partner), 1.0)
-    cross = abs(aligned.imag) / scale
-    meets = cross <= cfg.criterion_tol and aligned.real >= -cfg.criterion_tol * scale
-    borderline = _in_band(cross, cfg) or (abs(aligned.real) / scale <= 10.0 * cfg.criterion_tol)
-    violation = Violation(mask, cross) if meets else None
-    return violation, borderline
+    aligned = np.conj(pivot) * partner
+    scale = np.maximum(abs(pivot) * np.abs(partner), 1.0)
+    cross = np.abs(aligned.imag) / scale
+    meets = (cross <= cfg.criterion_tol) & (aligned.real >= -cfg.criterion_tol * scale)
+    borderline = _in_band(cross, cfg) | (np.abs(aligned.real) / scale <= 10.0 * cfg.criterion_tol)
+    return cross, meets, borderline
 
 
 def check_phase_uniqueness_endpoint(zeros, end_offset: int, support_len: int,
@@ -231,23 +251,12 @@ def check_phase_uniqueness_endpoint(zeros, end_offset: int, support_len: int,
     keeps S_end_offset of the zero set aligned (zero cross term, non-negative
     dot term) with its reflected counterpart.
     """
-    items = _zeros_of(zeros)
-    n = int(support_len)
-    if len(items) != n - 1:
-        raise ValueError(f"expected {n - 1} zeros, got {len(items)}")
+    items, n = _checked_zeros(zeros, support_len)
     if not 1 <= end_offset <= n - 2:
         raise ValueError(f"component offset {end_offset} outside 1..{n - 2}")
-    family = SubsetFamily(items, cfg=cfg)
-    pivot = elementary_symmetric(items, end_offset)
-    violations = []
-    borderline = False
-    for mask in family.masks():
-        partner = elementary_symmetric(modified_zero_set(items, mask), end_offset)
-        violation, near = _balance_report(pivot, partner, mask, cfg)
-        borderline = borderline or near
-        if violation is not None:
-            violations.append(violation)
-    return CriterionReport(not violations, ROTATION, tuple(violations), borderline)
+    masks, reference, rows = _family_rows(SubsetFamily(items, cfg=cfg))
+    partner = rows[:, end_offset] / rows[:, 0].real
+    return _report(masks, *_balance_report(reference[end_offset], partner, cfg))
 
 
 def check_phase_uniqueness_two_points(zeros, first_offset: int, second_offset: int,
@@ -260,10 +269,7 @@ def check_phase_uniqueness_two_points(zeros, first_offset: int, second_offset: i
     survives, so the full reflection subset is excluded and uniqueness is
     claimed modulo rotations and reflections.
     """
-    items = _zeros_of(zeros)
-    n = int(support_len)
-    if len(items) != n - 1:
-        raise ValueError(f"expected {n - 1} zeros, got {len(items)}")
+    items, n = _checked_zeros(zeros, support_len)
     for offset in (first_offset, second_offset):
         if not 1 <= offset <= n - 2:
             raise ValueError(f"component offset {offset} outside 1..{n - 2}")
@@ -271,17 +277,9 @@ def check_phase_uniqueness_two_points(zeros, first_offset: int, second_offset: i
         raise ValueError("the two component offsets must differ")
     symmetric = (first_offset + second_offset == n - 1)
     family = SubsetFamily(items, exclude_exact_full=symmetric, cfg=cfg)
-    pivot = elementary_symmetric(items, first_offset)
-    second = elementary_symmetric(items, second_offset)
-    violations = []
-    borderline = False
-    for mask in family.masks():
-        reflected = modified_zero_set(items, mask)
-        partner = (elementary_symmetric(reflected, second_offset).conjugate()
-                   * second * elementary_symmetric(reflected, first_offset))
-        violation, near = _balance_report(pivot, partner, mask, cfg)
-        borderline = borderline or near
-        if violation is not None:
-            violations.append(violation)
+    masks, reference, rows = _family_rows(family)
+    weight = rows[:, 0].real
+    partner = (np.conj(rows[:, second_offset] / weight) * reference[second_offset]
+               * (rows[:, first_offset] / weight))
     kind = ROTATION_REFLECTION if symmetric else ROTATION
-    return CriterionReport(not violations, kind, tuple(violations), borderline)
+    return _report(masks, *_balance_report(reference[first_offset], partner, cfg), kind)

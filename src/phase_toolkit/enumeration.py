@@ -24,12 +24,11 @@ from .signals import (Autocorrelation, CanonicalForm, Signal, canonicalize,
 class ZeroSelection:
     """One chosen zero per pair occurrence, identifying a solution class.
 
-    `reflection_counts` records, per pair, how many occurrences picked the
-    reflected member; it doubles as the class mask in serialized output.
+    How many occurrences of each pair picked the reflected member is kept
+    once, as the `mask` of the `SolutionClass` this selection produced.
     """
 
     zeros: tuple
-    reflection_counts: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
         for pair, flipped in zip(pairs.pairs, counts):
             zeros.extend([pair.reflected] * flipped)
             zeros.extend([pair.zero] * (pair.multiplicity - flipped))
-        selection = ZeroSelection(tuple(zeros), tuple(counts))
+        selection = ZeroSelection(tuple(zeros))
         form = canonicalize(synthesize(selection, pairs.leading),
                             modulo_reflection=modulo_reflection, cfg=cfg)
         total += 1

@@ -10,7 +10,8 @@ from phase_toolkit import (ROTATION, ROTATION_REFLECTION, SubsetFamily,
                            check_phase_uniqueness_endpoint,
                            check_phase_uniqueness_two_points,
                            elementary_symmetric, elementary_symmetric_all,
-                           modified_zero_set)
+                           modified_zero_set, synthesize)
+from phase_toolkit.criteria import reflection_table
 
 from helpers import classes_matching_constraints, random_zero_set
 
@@ -35,6 +36,62 @@ def test_elementary_symmetric_matches_subset_sums():
                          itertools.combinations(zeros, order))
             scale = max(1.0, abs(direct))
             assert abs(table[order] - direct) < 1e-12 * scale
+
+
+def _table_zero_sets(rng):
+    """Seeded zero sets for N = 2..9: generic, with on-circle zeros, with internal pairs."""
+    for n in range(2, 10):
+        yield random_zero_set(rng, n - 1)
+        if n >= 3:
+            on_circle = [complex(np.exp(1j * t)) for t in rng.uniform(-np.pi, np.pi, 2)]
+            yield random_zero_set(rng, n - 3) + on_circle
+        if n >= 4:
+            zeros = random_zero_set(rng, n - 2)
+            zeros.insert(1, 1.0 / np.conj(zeros[-1]))
+            yield zeros
+
+
+def _mask_rows(zeros):
+    family = SubsetFamily(zeros)
+    eligible = family.eligible_positions()
+    table = reflection_table(zeros, eligible)
+    assert table.shape == (2 ** len(eligible), len(zeros) + 1)
+    for mask in family.masks():
+        index = sum(1 << (len(eligible) - 1 - eligible.index(p)) for p in mask)
+        yield mask, table[index]
+
+
+def test_reflection_table_matches_scalar_reference():
+    # each row is w * S of the reflected zero set, w the product of reflected moduli
+    rng = np.random.default_rng(31)
+    checked = 0
+    for zeros in _table_zero_sets(rng):
+        for mask, row in _mask_rows(zeros):
+            weight = math.prod(abs(zeros[p]) for p in mask)
+            expected = weight * elementary_symmetric_all(modified_zero_set(zeros, mask))
+            assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max()
+            checked += 1
+    assert checked > 500
+
+
+def test_reflection_table_rows_are_reversed_signals():
+    # x[N-1-l] = amp0 * (-1)^l * row[l] for the signal of every reflected zero set
+    rng = np.random.default_rng(32)
+    for zeros in list(_table_zero_sets(rng))[-6:]:
+        n = len(zeros) + 1
+        lead = 1.7
+        amp0 = np.sqrt(lead / np.prod(np.abs(zeros)))
+        signs = (-1.0) ** np.arange(n)
+        for mask, row in _mask_rows(zeros):
+            x = synthesize(modified_zero_set(zeros, mask), lead)
+            expected = amp0 * signs * row
+            assert np.abs(x.values[::-1] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_reflection_table_rejects_origin():
+    with pytest.raises(ValueError, match="origin"):
+        reflection_table([2.0, 0.0], [1])
+    assert reflection_table([2.0, 0.0]).shape == (1, 3)
 
 
 def test_modified_zero_set_examples():

@@ -63,6 +63,19 @@ def test_synthesize_vieta_signs():
         assert abs(x.values[n - 1 - ell] - expected) < 1e-9 * max(1.0, abs(expected))
 
 
+def test_near_collisions_flag_fragile_class_counts():
+    # a zero just off the circle gives two classes whose forms nearly coincide
+    def enumerated(delta):
+        return enumerate_solutions(pairs_from_zeros([1.0 + delta, 2.5j, -1.7 + 0.4j]))
+
+    fragile = enumerated(3e-7)
+    assert len(fragile) == 8
+    assert fragile.near_collisions > 0
+    separated = enumerated(1e-5)
+    assert len(separated) == 8
+    assert separated.near_collisions == 0
+
+
 def test_enumerate_two_point_signal():
     sols = enumerate_solutions(_pairs_of([1.0, 2.0]))
     assert sols.total_enumerated == 2
