@@ -4,6 +4,16 @@ Every solution picks one member from each zero pair occurrence; a pair of
 multiplicity m therefore contributes m+1 distinct multiset choices.  The
 enumerated signals are reduced to canonical forms, deduplicated, and can
 be filtered by known moduli or phases of individual components.
+
+Enumeration works on arrays.  The selection table holds the coefficients of
+all K = prod(m+1) selection signals, one row each, built pair by pair: every
+row splits into one branch per choice, multiplied out by the linear factors
+of that choice.  The rows are canonicalised together (`signals` applies the
+phase pivot and the reflection choice row-wise).  The dedupe sorts the forms
+by one column and cuts them into runs wherever neighbouring keys differ by
+more than ten times the dedupe tolerance; only forms in the same run are ever
+compared.  `synthesize` and `canonicalize` are the one-row cases of the same
+kernels.
 """
 
 from __future__ import annotations
@@ -16,8 +26,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .factorization import (ZeroPairSet, associated_polynomial, find_roots,
                             pair_roots)
-from .signals import (Autocorrelation, CanonicalForm, Signal, canonicalize,
-                      form_distance, _wrap_angle)
+from .signals import (Autocorrelation, CanonicalForm, Signal, _canonical_rows,
+                      _support_bounds, _wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,34 @@ class SolutionSet:
         return len(self.classes)
 
 
+def _times_linear(rows: np.ndarray, norms: np.ndarray, z: complex):
+    """Multiply every row of ascending coefficients by (t - z); norms gain |z|."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=complex)
+    np.multiply(rows, -z, out=out[:, :-1])
+    out[:, -1] = 0.0
+    out[:, 1:] += rows
+    return out, norms * abs(z)
+
+
+def _scaled(rows: np.ndarray, norms: np.ndarray, leading: complex,
+            rotation: float = 0.0) -> np.ndarray:
+    """Apply the intensity amplitude sqrt(|leading| / prod |z|) and a rotation per row."""
+    amplitude = np.sqrt(abs(leading) / norms)
+    return (np.exp(1j * float(rotation)) * amplitude)[:, None] * rows
+
+
+def _checked(zeros) -> tuple:
+    zeros = tuple(complex(z) for z in zeros)
+    if any(z == 0 for z in zeros):
+        raise ValueError("zero selections must avoid the origin")
+    return zeros
+
+
+def _pair_zeros(pair, flipped: int) -> list:
+    """Zeros of one pair occurrence choice: `flipped` reflected slots first."""
+    return [pair.reflected] * flipped + [pair.zero] * (pair.multiplicity - flipped)
+
+
 def synthesize(selection, leading: complex, rotation: float = 0.0,
                offset: int = 0) -> Signal:
     """Signal with the given zero multiset and intensity normalization.
@@ -95,19 +133,96 @@ def synthesize(selection, leading: complex, rotation: float = 0.0,
             enters the amplitude.
         rotation: global phase angle.
         offset: first support index.
+
+    This is the one-row case of the selection table in `enumerate_solutions`.
     """
-    if isinstance(selection, ZeroSelection):
-        zeros = selection.zeros
-    else:
-        zeros = tuple(complex(z) for z in selection)
-    if any(z == 0 for z in zeros):
-        raise ValueError("zero selections must avoid the origin")
-    moduli = np.array([abs(z) for z in zeros], dtype=float)
-    amplitude = np.sqrt(abs(leading) / moduli.prod()) if zeros else np.sqrt(abs(leading))
-    coeffs = np.ones(1, dtype=complex)
+    zeros = _checked(selection.zeros if isinstance(selection, ZeroSelection)
+                     else selection)
+    rows, norms = np.ones((1, 1), dtype=complex), np.ones(1)
     for z in zeros:
-        coeffs = np.convolve(coeffs, np.array([-z, 1.0], dtype=complex))
-    return Signal(offset, np.exp(1j * float(rotation)) * amplitude * coeffs)
+        rows, norms = _times_linear(rows, norms, z)
+    return Signal(offset, _scaled(rows, norms, leading, rotation)[0])
+
+
+def _selection_table(pairs: ZeroPairSet) -> np.ndarray:
+    """Coefficients of every selection signal, one row per selection.
+
+    Each off-circle pair of multiplicity m splits every row into m+1
+    branches (f reflected slots, then m-f kept ones); on-circle pairs do not
+    branch.  Branches of the last pair vary fastest, so row i is the i-th
+    selection in `itertools.product` order.
+    """
+    rows, norms = np.ones((1, 1), dtype=complex), np.ones(1)
+    for pair in pairs.pairs:
+        branches = []
+        for flipped in (0,) if pair.on_circle else range(pair.multiplicity + 1):
+            branch = rows, norms
+            for z in _checked(_pair_zeros(pair, flipped)):
+                branch = _times_linear(*branch, z)
+            branches.append(branch)
+        width = branches[0][0].shape[1]
+        rows = np.stack([r for r, _ in branches], axis=1).reshape(-1, width)
+        norms = np.stack([n for _, n in branches], axis=1).reshape(-1)
+    return _scaled(rows, norms, pairs.leading)
+
+
+def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray,
+            kept: np.ndarray, cfg: ToleranceConfig) -> int:
+    """Greedy dedupe pass over `rows`, given in first-seen order.
+
+    Each row is compared with the representatives before it.  Clears `kept`
+    for merged rows and returns the near-collision count.
+    """
+    reps = rows[:1]
+    near = 0
+    for i in rows[1:].tolist():
+        gap = np.abs(forms[reps] - forms[i]).max(axis=1)
+        scale = np.maximum(peaks[i], peaks[reps])
+        merges = np.flatnonzero(gap <= cfg.dedupe_tol * scale)
+        checked = merges[0] if merges.size else reps.size
+        near += int(np.count_nonzero(gap[:checked] <= 10.0 * cfg.dedupe_tol * scale[:checked]))
+        if merges.size:
+            kept[i] = False
+        else:
+            reps = np.append(reps, i)
+    return near
+
+
+def _dedupe(forms: np.ndarray, cfg: ToleranceConfig):
+    """First-seen greedy dedupe of equal-length canonical forms.
+
+    A form merges into the first earlier representative within
+    dedupe_tol * scale (scale the larger peak modulus of the two); every
+    representative checked before that within ten times the tolerance is a
+    near collision.  The forms are sorted by the real part of one column (the
+    one that spreads widest) and cut into runs wherever neighbouring keys
+    differ by more than ten times the tolerance at the largest peak.  Forms
+    in different runs differ by more than that in this column, so they can
+    neither merge nor count, and the greedy pass replays within each run.
+    Returns the indices of the representatives and the near-collision count.
+    """
+    peaks = np.abs(forms).max(axis=1)
+    near_tol = 10.0 * cfg.dedupe_tol
+    keys = forms[:, int(np.argmax(np.ptp(forms.real, axis=0)))].real
+    order = np.argsort(keys, kind="stable")
+    # widened by a relative 1e-9 so that rounding in the keys cannot split a close pair
+    reach = near_tol * float(peaks.max()) * (1.0 + 1e-9)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-np.inf) > reach)
+    sizes = np.diff(starts, append=forms.shape[0])
+    kept = np.ones(forms.shape[0], dtype=bool)
+    near = 0
+    # a run of two, such as a form and its mirror image: the later one only
+    # checks the earlier one, so all such runs are settled at once
+    twos = np.sort(order[starts[sizes == 2, None] + np.arange(2)], axis=1)
+    earlier, later = twos[:, 0], twos[:, 1]
+    gap = np.abs(forms[earlier] - forms[later]).max(axis=1)
+    scale = np.maximum(peaks[later], peaks[earlier])
+    merges = gap <= cfg.dedupe_tol * scale
+    kept[later[merges]] = False
+    near += int(np.count_nonzero(~merges & (gap <= near_tol * scale)))
+    for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
+        near += _replay(forms, peaks, np.sort(order[start:start + size]), kept, cfg)
+    return np.flatnonzero(kept), near
 
 
 def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
@@ -117,34 +232,43 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     On-circle pairs admit a single choice; off-circle pairs of multiplicity
     m admit m+1.  Classes are deduplicated by canonical form, keeping the
     first selection encountered as representative.
+
+    The work runs in three array stages: the selection table builds every
+    selection signal at once (row i is the i-th choice in `itertools.product`
+    order); rows are trimmed as `Signal` trims them and canonicalised
+    together; and the dedupe sorts the forms of each support length by one
+    column and replays the greedy pass only within runs of near-equal keys.
+    The result equals a per-selection `canonicalize(synthesize(...))` loop
+    with a pairwise `form_distance` dedupe, including `near_collisions`.
     """
-    options = [(0,) if p.on_circle else tuple(range(p.multiplicity + 1))
-               for p in pairs.pairs]
-    classes = []
-    total = 0
+    sizes = tuple(1 if p.on_circle else p.multiplicity + 1 for p in pairs.pairs)
+    table = _selection_table(pairs)
+    live, first, last = _support_bounds(table)
+    if not live.all():
+        raise ValueError("empty support")
+    lengths = last - first + 1
+    found = []
     near = 0
-    for counts in itertools.product(*options):
-        zeros = []
-        for pair, flipped in zip(pairs.pairs, counts):
-            zeros.extend([pair.reflected] * flipped)
-            zeros.extend([pair.zero] * (pair.multiplicity - flipped))
-        selection = ZeroSelection(tuple(zeros))
-        form = canonicalize(synthesize(selection, pairs.leading),
-                            modulo_reflection=modulo_reflection, cfg=cfg)
-        total += 1
-        matched = False
-        for existing in classes:
-            gap = form_distance(existing.canonical, form)
-            scale = float(max(np.abs(form.values).max(),
-                              np.abs(existing.canonical.values).max()))
-            if gap <= cfg.dedupe_tol * scale:
-                matched = True
-                break
-            if gap <= 10.0 * cfg.dedupe_tol * scale:
-                near += 1
-        if not matched:
-            classes.append(SolutionClass(form, tuple(counts), selection))
-    return SolutionSet(tuple(classes), total, modulo_reflection, near)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        values = table[rows[:, None], first[rows, None] + np.arange(length)]
+        forms, reflected = _canonical_rows(values, modulo_reflection, cfg)
+        kept, collisions = _dedupe(forms, cfg)
+        near += collisions
+        found.extend(zip(rows[kept].tolist(), forms[kept], reflected[kept].tolist()))
+    found.sort(key=lambda item: item[0])
+    kept_rows = np.array([row for row, _, _ in found], dtype=np.intp)
+    masks = (np.column_stack(np.unravel_index(kept_rows, sizes)) if sizes
+             else np.zeros((kept_rows.size, 0), dtype=np.intp))
+    choices = [[tuple(_pair_zeros(pair, f)) for f in range(size)]
+               for pair, size in zip(pairs.pairs, sizes)]
+    classes = []
+    for mask, (_, form, reflected) in zip(map(tuple, masks.tolist()), found):
+        zeros = tuple(itertools.chain.from_iterable(
+            options[f] for options, f in zip(choices, mask)))
+        classes.append(SolutionClass(CanonicalForm(form, reflected), mask,
+                                     ZeroSelection(zeros)))
+    return SolutionSet(tuple(classes), int(table.shape[0]), modulo_reflection, near)
 
 
 def _phases_satisfied(values: np.ndarray, targets, cfg: ToleranceConfig) -> bool:

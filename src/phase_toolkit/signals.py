@@ -165,21 +165,57 @@ def conjugate_reflect(x: Signal) -> Signal:
     return Signal(-x.end, np.conj(x.values[::-1]))
 
 
-def _phase_fixed(values: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(values)))
-    unit = values[pivot] / abs(values[pivot])
-    return values * np.conj(unit)
+def _support_bounds(rows: np.ndarray):
+    """Kept support of each row of a (K, L) array, trimmed as `Signal` trims.
+
+    Returns (live, first, last): whether a row has any entry above
+    trim_threshold times its peak modulus, and the first and last such index.
+    `Signal` keeps its own scalar form of the rule, which is cheaper for the
+    one row it holds.
+    """
+    mags = np.abs(rows)
+    keep = mags > DEFAULT_CONFIG.trim_threshold * mags.max(axis=1, keepdims=True)
+    last = rows.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
+    return keep.any(axis=1), keep.argmax(axis=1), last
 
 
-def _lexicographically_before(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> bool:
-    scale = float(max(np.abs(a).max(), np.abs(b).max()))
-    band = cfg.tol(scale)
-    for p, q in zip(a, b):
-        if abs(p.real - q.real) > band:
-            return p.real < q.real
-        if abs(p.imag - q.imag) > band:
-            return p.imag < q.imag
-    return False
+def _phase_fixed(rows: np.ndarray) -> np.ndarray:
+    """Rotate each row so its largest-modulus entry (lowest index on ties) is real positive."""
+    mags = np.abs(rows)
+    at = np.arange(rows.shape[0])
+    pivot = np.argmax(mags, axis=1)
+    unit = rows[at, pivot] / mags[at, pivot]
+    return rows * np.conj(unit)[:, None]
+
+
+def _lexicographically_before(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Row-wise a < b, componentwise by real then imaginary part.
+
+    Entries closer than cfg.tol(scale), scale the largest modulus of the row
+    pair, count as equal; rows equal throughout are not before.
+    """
+    scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+    band = cfg.atol + cfg.rtol * scale
+    flat_a, flat_b = a.view(np.float64), b.view(np.float64)
+    apart = np.abs(flat_a - flat_b) > band[:, None]
+    at = np.arange(a.shape[0])
+    first = np.argmax(apart, axis=1)
+    return apart[at, first] & (flat_a[at, first] < flat_b[at, first])
+
+
+def _canonical_rows(rows: np.ndarray, modulo_reflection: bool = False,
+                    cfg: ToleranceConfig = DEFAULT_CONFIG):
+    """Canonical forms of the rows of a (K, L) array and their `reflected` flags.
+
+    `canonicalize` is the one-row case, so both agree bit for bit.
+    """
+    forms = _phase_fixed(rows)
+    reflected = np.zeros(rows.shape[0], dtype=bool)
+    if modulo_reflection:
+        mirror = _phase_fixed(np.conj(rows[:, ::-1]))
+        reflected = _lexicographically_before(mirror, forms, cfg)
+        forms = np.where(reflected[:, None], mirror, forms)
+    return forms, reflected
 
 
 def canonicalize(x: Signal, modulo_reflection: bool = False,
@@ -190,12 +226,8 @@ def canonicalize(x: Signal, modulo_reflection: bool = False,
     well and the lexicographically smaller form (componentwise by real part,
     then imaginary part) is returned.
     """
-    base = _phase_fixed(x.values)
-    if modulo_reflection:
-        mirror = _phase_fixed(np.conj(x.values[::-1]))
-        if _lexicographically_before(mirror, base, cfg):
-            return CanonicalForm(mirror, reflected=True)
-    return CanonicalForm(base, reflected=False)
+    forms, reflected = _canonical_rows(x.values[None, :], modulo_reflection, cfg)
+    return CanonicalForm(forms[0], reflected=bool(reflected[0]))
 
 
 def form_distance(a, b) -> float:

@@ -1,9 +1,14 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 
-from phase_toolkit import (Constraint, autocorrelation, enumerate_solutions,
-                           filter_by_constraints, pairs_from_zeros, synthesize)
+from phase_toolkit import (DEFAULT_CONFIG, Constraint, SolutionClass,
+                           SolutionSet, ZeroSelection, autocorrelation,
+                           canonicalize, enumerate_solutions,
+                           filter_by_constraints, form_distance,
+                           pairs_from_zeros, synthesize)
 
 
 def random_signal(rng, n, complex_valued=True):
@@ -85,3 +90,53 @@ def acf_of(values, offset=0):
     from phase_toolkit import Signal
 
     return autocorrelation(Signal(offset, values))
+
+
+def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
+    """Per-selection enumeration with a greedy pairwise dedupe.
+
+    Every choice in `itertools.product` order is synthesized and
+    canonicalized on its own, then compared with each class kept so far by
+    `form_distance`: it merges into the first one within dedupe_tol * scale,
+    and every class checked before that within ten times the tolerance counts
+    as a near collision.  `enumerate_solutions` must return the same set.
+    """
+    options = [(0,) if p.on_circle else tuple(range(p.multiplicity + 1))
+               for p in pairs.pairs]
+    classes = []
+    total = 0
+    near = 0
+    for counts in itertools.product(*options):
+        zeros = []
+        for pair, flipped in zip(pairs.pairs, counts):
+            zeros.extend([pair.reflected] * flipped)
+            zeros.extend([pair.zero] * (pair.multiplicity - flipped))
+        selection = ZeroSelection(tuple(zeros))
+        form = canonicalize(synthesize(selection, pairs.leading),
+                            modulo_reflection=modulo_reflection, cfg=cfg)
+        total += 1
+        matched = False
+        for existing in classes:
+            gap = form_distance(existing.canonical, form)
+            scale = float(max(np.abs(form.values).max(),
+                              np.abs(existing.canonical.values).max()))
+            if gap <= cfg.dedupe_tol * scale:
+                matched = True
+                break
+            if gap <= 10.0 * cfg.dedupe_tol * scale:
+                near += 1
+        if not matched:
+            classes.append(SolutionClass(form, tuple(counts), selection))
+    return SolutionSet(tuple(classes), total, modulo_reflection, near)
+
+
+def assert_same_solutions(got, want):
+    """Equal solution sets: counts, order, masks, flags, selections, bitwise values."""
+    assert got.total_enumerated == want.total_enumerated
+    assert got.modulo_reflection == want.modulo_reflection
+    assert got.near_collisions == want.near_collisions
+    assert [c.mask for c in got.classes] == [c.mask for c in want.classes]
+    for a, b in zip(got.classes, want.classes):
+        assert a.canonical.reflected == b.canonical.reflected
+        assert a.selection.zeros == b.selection.zeros
+        assert a.values.tobytes() == b.values.tobytes()

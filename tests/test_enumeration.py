@@ -1,13 +1,18 @@
+import cmath
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phase_toolkit import (Constraint, Signal, autocorrelation, canonicalize,
                            enumerate_solutions, filter_by_constraints,
                            form_distance, fourier_intensity, pairs_from_zeros,
                            recover, synthesize)
 
-from helpers import (constraints_from_signal, probe_grid, random_signal,
-                     random_zero_set)
+from helpers import (assert_same_solutions, constraints_from_signal,
+                     probe_grid, random_signal, random_zero_set,
+                     reference_enumeration)
 
 
 def _pairs_of(values):
@@ -224,3 +229,95 @@ def test_solution_class_signal_offset_zero():
     sols = enumerate_solutions(_pairs_of([1.0, 2.0]))
     for cls in sols.classes:
         assert cls.signal().offset == 0
+
+
+def _sweep_zero_sets():
+    rng = np.random.default_rng(2024)
+    for n in range(2, 10):
+        for _ in range(3):
+            yield random_zero_set(rng, n - 1)
+    for mult in (2, 3, 2, 3):
+        zeros = random_zero_set(rng, int(rng.integers(1, 4)))
+        yield zeros + [zeros[0]] * (mult - 1)
+    for circled in (1, 2, 1, 2):
+        angles = rng.uniform(-np.pi, np.pi, size=circled)
+        yield random_zero_set(rng, 3) + [cmath.exp(1j * a) for a in angles]
+    for negatives in (1, 2, 3):
+        reals = -rng.uniform(0.2, 3.0, size=negatives)
+        yield random_zero_set(rng, 2) + [complex(r) for r in reals]
+    for delta in (3e-7, 1e-6, 3e-6, 1e-5):
+        yield [1.0 + delta, 2.5j, -1.7 + 0.4j]
+    # several zeros just off the circle: chains of merges and near collisions
+    for gaps in ((2e-8, 5e-8, 4e-7), (1e-7, 2e-7, 8e-7), (5e-8, 4e-7, 1.5e-6),
+                 (2e-8, 1e-7, 1.5e-7, 2e-7)):
+        yield [cmath.rect(1.0 + g, a) for g, a in zip(gaps, (0.0, 0.9, -2.1, 2.6))] + [2.5j]
+    # ten such zeros: all 1024 forms fall into one run of the sorted keys
+    yield [cmath.rect(1.0 + 3e-8, 0.5 * k + 0.1) for k in range(10)]
+
+
+@pytest.mark.parametrize("modulo_reflection", [False, True])
+def test_enumeration_matches_reference_sweep(modulo_reflection):
+    for zeros in _sweep_zero_sets():
+        pairs = pairs_from_zeros(zeros, leading=float(np.prod(np.abs(zeros))))
+        assert_same_solutions(enumerate_solutions(pairs, modulo_reflection),
+                              reference_enumeration(pairs, modulo_reflection))
+
+
+def test_trimmed_supports_keep_their_length():
+    # (t - 1e-7)^2 leaves a constant term below the trim threshold, so the
+    # selections that keep both small zeros lose an entry and never merge
+    pairs = pairs_from_zeros([1e-7, 1e-7, 2j, -1.5], leading=1.0)
+    for modulo_reflection in (False, True):
+        sols = enumerate_solutions(pairs, modulo_reflection)
+        assert_same_solutions(sols, reference_enumeration(pairs, modulo_reflection))
+    sols = enumerate_solutions(pairs)
+    assert [c.values.size for c in sols.classes] == [4, 5, 4, 4, 5, 4, 4, 5, 4, 4, 5, 4]
+    assert sols.near_collisions == 0
+
+
+def test_enumerate_fourteen_point_signal():
+    rng = np.random.default_rng(1414)
+    zeros = random_zero_set(rng, 13)
+    lead = float(np.prod(np.abs(zeros)))
+    pairs = pairs_from_zeros(zeros, leading=lead)
+    w = probe_grid(128)
+    ref = fourier_intensity(synthesize(zeros, lead), w)
+    kernel = np.exp(-1j * np.multiply.outer(np.arange(14), w))
+    sols = enumerate_solutions(pairs)
+    assert len(sols) == sols.total_enumerated == 8192
+    assert [c.mask for c in sols.classes] == list(itertools.product((0, 1), repeat=13))
+    got = np.abs(np.stack([c.values for c in sols.classes]) @ kernel) ** 2
+    assert float(np.abs(got - ref).max()) <= 1e-7 * float(ref.max())
+    assert len(enumerate_solutions(pairs, modulo_reflection=True)) == 4096
+
+
+@st.composite
+def _zero_geometries(draw):
+    angle = st.floats(-np.pi, np.pi)
+
+    def generic():
+        radius = draw(st.floats(1.3, 3.0))
+        z = cmath.rect(radius, draw(angle))
+        return 1.0 / z.conjugate() if draw(st.booleans()) else z
+
+    kind = draw(st.sampled_from(("clustered", "near_circle", "repeated")))
+    zeros = [generic() for _ in range(draw(st.integers(0, 3)))]
+    if kind == "clustered":
+        center = generic()
+        zeros += [center + cmath.rect(draw(st.floats(1e-3, 1e-1)), draw(angle))
+                  for _ in range(draw(st.integers(1, 3)))] + [center]
+    elif kind == "near_circle":
+        for _ in range(draw(st.integers(1, 3))):
+            gap = draw(st.floats(1e-4, 1e-2)) * draw(st.sampled_from((-1.0, 1.0)))
+            zeros.append(cmath.rect(1.0 + gap, draw(angle)))
+    else:
+        zeros += [generic()] * draw(st.integers(2, 3))
+    return zeros
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(zeros=_zero_geometries(), modulo_reflection=st.booleans())
+def test_enumeration_matches_reference_on_hard_geometries(zeros, modulo_reflection):
+    pairs = pairs_from_zeros(zeros, leading=1.0)
+    assert_same_solutions(enumerate_solutions(pairs, modulo_reflection),
+                          reference_enumeration(pairs, modulo_reflection))

@@ -132,6 +132,37 @@ def test_canonical_pivot_is_real_positive():
     assert v[peak].real > 0
 
 
+def test_canonical_pivot_lowest_index_wins_ties():
+    v = canonicalize(Signal(0, [1j, -2.0, 2.0, 0.5])).values
+    np.testing.assert_allclose(v, [-1j, 2.0, -2.0, -0.5], atol=1e-15)
+
+
+def _scalar_before(a, b, band):
+    for p, q in zip(a, b):
+        if abs(p.real - q.real) > band:
+            return p.real < q.real
+        if abs(p.imag - q.imag) > band:
+            return p.imag < q.imag
+    return False
+
+
+def test_reflection_choice_is_first_decisive_component():
+    # the row-wise comparison agrees with a component-by-component scan
+    from phase_toolkit import DEFAULT_CONFIG
+
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        n = int(rng.integers(2, 7))
+        x = Signal(0, np.round(random_signal(rng, n), 1))
+        base = canonicalize(x).values
+        mirror = canonicalize(conjugate_reflect(x)).values
+        scale = max(np.abs(base).max(), np.abs(mirror).max())
+        want = _scalar_before(mirror, base, DEFAULT_CONFIG.tol(scale))
+        form = canonicalize(x, modulo_reflection=True)
+        assert form.reflected == want
+        assert form.values.tobytes() == (mirror if want else base).tobytes()
+
+
 def test_form_distance_length_mismatch():
     a = canonicalize(Signal(0, [1.0, 2.0]))
     b = canonicalize(Signal(0, [1.0, 2.0, 3.0]))
