@@ -7,16 +7,20 @@ algebraic identities in the elementary symmetric polynomials S_l of the
 zero set, evaluated within a tolerance band.  Up to sign and amplitude,
 S_l is the coefficient x[N-1-l] of the signal with those zeros, so every
 criterion compares columns of one `reflection_table` with its first row.
+The table is a view of the selection kernel in `enumeration`; admissibility
+is a boolean over its row indices, and both are built once per zero set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
+from .enumeration import _selection_table
 
 ROTATION = "rotation"
 ROTATION_REFLECTION = "rotation_reflection"
@@ -33,23 +37,17 @@ def reflection_table(zeros, reflectable=()) -> np.ndarray:
     Bit j of the row index, counted from the most significant, reflects the
     zero z at the j-th smallest reflectable position to 1/conj(z); w is the
     product of |z| over the reflected zeros, so row 0 is S of the zeros
-    themselves.  Each position multiplies the rows by its factor 1 + z*t,
-    or |z| + (z/|z|)*t if reflected.
+    themselves.  The selection kernel's monic coefficient of t^(k-l) is
+    (-1)^l S_l, and w = sqrt(prod |z| / prod of the chosen |z|).
     """
     items = _zeros_of(zeros)
     reflectable = set(reflectable)
-    rows = np.ones((1, 1), dtype=complex)
-    for position, z in enumerate(items):
-        grown = np.pad(rows, ((0, 0), (0, 1)))
-        grown[:, 1:] += z * rows
-        if position in reflectable:
-            if z == 0:
-                raise ValueError("cannot reflect a zero at the origin")
-            reflected = np.pad(abs(z) * rows, ((0, 0), (0, 1)))
-            reflected[:, 1:] += (z / abs(z)) * rows
-            grown = np.stack([grown, reflected], axis=1).reshape(-1, grown.shape[1])
-        rows = grown
-    return rows
+    if any(items[p] == 0 for p in reflectable):
+        raise ValueError("cannot reflect a zero at the origin")
+    rows, norms = _selection_table(((z,), (1.0 / z.conjugate(),)) if p in reflectable
+                                   else ((z,),) for p, z in enumerate(items))
+    signs = (-1.0) ** np.arange(len(items) + 1)
+    return np.sqrt(norms[0] / norms)[:, None] * signs * rows[:, ::-1]
 
 
 def elementary_symmetric_all(zeros) -> np.ndarray:
@@ -113,22 +111,47 @@ class SubsetFamily:
         paired = {i for pair in self.internal_pairs() for i in pair}
         return tuple(i for i in self.eligible_positions() if i not in paired)
 
+    def _admitted(self):
+        """Admissible rows of the shared `_selection`, in `masks()` order."""
+        eligible, bits, rows, free, _ = _selection(self.zeros, self.cfg)
+        if self.exclude_full_free:
+            rows = rows[rows != free]
+        if self.exclude_exact_full and len(eligible) == len(self.zeros):
+            rows = rows[rows != len(bits) - 1]
+        return rows
+
+    def _masks(self, rows) -> list:
+        eligible, bits, *_ = _selection(self.zeros, self.cfg)
+        return [tuple(itertools.compress(eligible, b)) for b in bits[rows].tolist()]
+
     def masks(self):
         """Yield admissible subsets as sorted position tuples."""
-        eligible = self.eligible_positions()
-        pairs = self.internal_pairs()
-        free = set(self.free_positions())
-        everything = frozenset(range(len(self.zeros)))
-        for take in range(1, len(eligible) + 1):
-            for combo in itertools.combinations(eligible, take):
-                chosen = set(combo)
-                if any(a in chosen and b in chosen for a, b in pairs):
-                    continue
-                if self.exclude_full_free and chosen == free:
-                    continue
-                if self.exclude_exact_full and chosen == everything:
-                    continue
-                yield combo
+        yield from self._masks(self._admitted())
+
+
+@functools.lru_cache(maxsize=1)
+def _selection(zeros: tuple, cfg: ToleranceConfig):
+    """Eligible positions, bits per row, admissible rows, free-set row, table.
+
+    Row r reflects the eligible positions whose bits are set, the first the
+    most significant.  Admissible rows reflect something but no complete
+    internal pair, by popcount, then by descending index: within a popcount,
+    the lexicographic order of position tuples.  One entry serves one zero set.
+    """
+    family = SubsetFamily(zeros, cfg=cfg)
+    eligible = family.eligible_positions()
+    bit = {p: 1 << (len(eligible) - 1 - j) for j, p in enumerate(eligible)}
+    index = np.arange(1 << len(eligible))
+    bits = (index[:, None] & np.array(list(bit.values()), dtype=index.dtype)) != 0
+    admissible = index != 0
+    for a, b in family.internal_pairs():
+        admissible &= (index & (bit[a] | bit[b])) != bit[a] | bit[b]
+    rows = np.flatnonzero(admissible)[::-1]
+    rows = rows[np.argsort(bits[rows].sum(axis=1), kind="stable")]
+    free = sum(bit[p] for p in family.free_positions())
+    table = reflection_table(zeros, [p for p in eligible if zeros[p] != 0])
+    table.flags.writeable = False
+    return eligible, bits, rows, free, table
 
 
 @dataclass(frozen=True)
@@ -168,16 +191,17 @@ def _checked_zeros(zeros, support_len: int):
 
 
 def _family_rows(family: SubsetFamily):
-    """Admissible masks, the reference row, and each mask's row (column 0 is w)."""
-    masks = tuple(family.masks())
-    positions = sorted(set().union(*masks))
-    bits = {p: 1 << (len(positions) - 1 - i) for i, p in enumerate(positions)}
-    table = reflection_table(family.zeros, positions)
-    return masks, table[0], table[[sum(bits[p] for p in mask) for mask in masks]]
+    """Admissible rows, the reflection table, and its reference row (column 0 is w)."""
+    rows = family._admitted()
+    _, bits, _, _, table = _selection(family.zeros, family.cfg)
+    if rows.size and len(table) < len(bits):  # the origin is eligible but not reflectable
+        raise ValueError("cannot reflect a zero at the origin")
+    return rows, table, table[0]
 
 
-def _report(masks, residuals, meets, borderline, kind: str = ROTATION) -> CriterionReport:
-    violations = tuple(Violation(masks[i], float(residuals[i])) for i in np.flatnonzero(meets))
+def _report(family, rows, residuals, meets, borderline, kind: str = ROTATION) -> CriterionReport:
+    hit = np.flatnonzero(meets)
+    violations = tuple(map(Violation, family._masks(rows[hit]), residuals[hit].tolist()))
     return CriterionReport(not violations, kind, violations, bool(np.any(borderline)))
 
 
@@ -194,11 +218,11 @@ def check_magnitude_uniqueness(zeros, end_offset: int, support_len: int,
         raise ValueError(f"component offset {end_offset} outside 0..{n - 1}")
     centered = (n % 2 == 1) and (end_offset == (n - 1) // 2)
     family = SubsetFamily(items, exclude_full_free=centered, cfg=cfg)
-    masks, reference, rows = _family_rows(family)
-    target, candidate = abs(reference[end_offset]), np.abs(rows[:, end_offset])
+    rows, table, reference = _family_rows(family)
+    target, candidate = abs(reference[end_offset]), np.abs(table[rows, end_offset])
     residuals = np.abs(target - candidate) / np.maximum(np.maximum(target, candidate), 1.0)
     kind = ROTATION_REFLECTION if centered else ROTATION
-    return _report(masks, residuals, residuals <= cfg.criterion_tol,
+    return _report(family, rows, residuals, residuals <= cfg.criterion_tol,
                    _in_band(residuals, cfg), kind)
 
 
@@ -212,11 +236,12 @@ def check_all_moduli_uniqueness(zeros, support_len: int,
     reflection itself and the equivalence is widened accordingly.
     """
     items, _ = _checked_zeros(zeros, support_len)
-    masks, reference, rows = _family_rows(SubsetFamily(items, cfg=cfg))
-    target, candidate = np.abs(reference), np.abs(rows)
+    family = SubsetFamily(items, cfg=cfg)
+    rows, table, reference = _family_rows(family)
+    target, candidate = np.abs(reference), np.abs(table[rows])
     residuals = np.abs(target - candidate) / np.maximum(np.maximum(target, candidate), 1.0)
     worst = residuals.max(axis=1)
-    report = _report(masks, worst, worst <= cfg.criterion_tol, _in_band(residuals, cfg))
+    report = _report(family, rows, worst, worst <= cfg.criterion_tol, _in_band(residuals, cfg))
     if not report.violations:
         return report
     full_reflection = sorted(modified_zero_set(items, range(len(items))),
@@ -254,9 +279,10 @@ def check_phase_uniqueness_endpoint(zeros, end_offset: int, support_len: int,
     items, n = _checked_zeros(zeros, support_len)
     if not 1 <= end_offset <= n - 2:
         raise ValueError(f"component offset {end_offset} outside 1..{n - 2}")
-    masks, reference, rows = _family_rows(SubsetFamily(items, cfg=cfg))
-    partner = rows[:, end_offset] / rows[:, 0].real
-    return _report(masks, *_balance_report(reference[end_offset], partner, cfg))
+    family = SubsetFamily(items, cfg=cfg)
+    rows, table, reference = _family_rows(family)
+    partner = table[rows, end_offset] / table[rows, 0].real
+    return _report(family, rows, *_balance_report(reference[end_offset], partner, cfg))
 
 
 def check_phase_uniqueness_two_points(zeros, first_offset: int, second_offset: int,
@@ -277,9 +303,9 @@ def check_phase_uniqueness_two_points(zeros, first_offset: int, second_offset: i
         raise ValueError("the two component offsets must differ")
     symmetric = (first_offset + second_offset == n - 1)
     family = SubsetFamily(items, exclude_exact_full=symmetric, cfg=cfg)
-    masks, reference, rows = _family_rows(family)
-    weight = rows[:, 0].real
-    partner = (np.conj(rows[:, second_offset] / weight) * reference[second_offset]
-               * (rows[:, first_offset] / weight))
+    rows, table, reference = _family_rows(family)
+    weight = table[rows, 0].real
+    partner = (np.conj(table[rows, second_offset] / weight) * reference[second_offset]
+               * (table[rows, first_offset] / weight))
     kind = ROTATION_REFLECTION if symmetric else ROTATION
-    return _report(masks, *_balance_report(reference[first_offset], partner, cfg), kind)
+    return _report(family, rows, *_balance_report(reference[first_offset], partner, cfg), kind)

@@ -5,15 +5,16 @@ multiplicity m therefore contributes m+1 distinct multiset choices.  The
 enumerated signals are reduced to canonical forms, deduplicated, and can
 be filtered by known moduli or phases of individual components.
 
-Enumeration works on arrays.  The selection table holds the coefficients of
-all K = prod(m+1) selection signals, one row each, built pair by pair: every
-row splits into one branch per choice, multiplied out by the linear factors
-of that choice.  The rows are canonicalised together (`signals` applies the
-phase pivot and the reflection choice row-wise).  The dedupe sorts the forms
-by one column and cuts them into runs wherever neighbouring keys differ by
-more than ten times the dedupe tolerance; only forms in the same run are ever
-compared.  `synthesize` and `canonicalize` are the one-row cases of the same
-kernels.
+Enumeration works on arrays.  One selection kernel, `_selection_table`,
+multiplies out every choice of one branch per slot, one row of coefficients
+per choice: every row splits into one branch per choice of the next slot,
+multiplied out by the linear factors of that branch.  `enumerate_solutions`
+passes one slot per zero pair, `synthesize` one single-branch slot per zero,
+and `criteria.reflection_table` one slot per zero with a reflected branch.
+The rows are canonicalised together (`signals` applies the phase pivot and
+the reflection choice row-wise).  The dedupe sorts the forms by one column
+and cuts them into runs wherever neighbouring keys differ by more than ten
+times the dedupe tolerance; only forms in the same run are ever compared.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ class SolutionSet:
 
 
 def _times_linear(rows: np.ndarray, norms: np.ndarray, z: complex):
-    """Multiply every row of ascending coefficients by (t - z); norms gain |z|."""
+    """Multiply every row of ascending coefficients by (t - z); norms gain |z| (1 at 0)."""
     out = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=complex)
     np.multiply(rows, -z, out=out[:, :-1])
     out[:, -1] = 0.0
     out[:, 1:] += rows
-    return out, norms * abs(z)
+    return out, norms * (abs(z) or 1.0)
 
 
 def _scaled(rows: np.ndarray, norms: np.ndarray, leading: complex,
@@ -116,11 +117,6 @@ def _checked(zeros) -> tuple:
     if any(z == 0 for z in zeros):
         raise ValueError("zero selections must avoid the origin")
     return zeros
-
-
-def _pair_zeros(pair, flipped: int) -> list:
-    """Zeros of one pair occurrence choice: `flipped` reflected slots first."""
-    return [pair.reflected] * flipped + [pair.zero] * (pair.multiplicity - flipped)
 
 
 def synthesize(selection, leading: complex, rotation: float = 0.0,
@@ -138,32 +134,29 @@ def synthesize(selection, leading: complex, rotation: float = 0.0,
     """
     zeros = _checked(selection.zeros if isinstance(selection, ZeroSelection)
                      else selection)
-    rows, norms = np.ones((1, 1), dtype=complex), np.ones(1)
-    for z in zeros:
-        rows, norms = _times_linear(rows, norms, z)
+    rows, norms = _selection_table([((z,),) for z in zeros])
     return Signal(offset, _scaled(rows, norms, leading, rotation)[0])
 
 
-def _selection_table(pairs: ZeroPairSet) -> np.ndarray:
-    """Coefficients of every selection signal, one row per selection.
+def _selection_table(slots):
+    """Monic coefficients and `_times_linear` norms of every choice of one branch per slot.
 
-    Each off-circle pair of multiplicity m splits every row into m+1
-    branches (f reflected slots, then m-f kept ones); on-circle pairs do not
-    branch.  Branches of the last pair vary fastest, so row i is the i-th
-    selection in `itertools.product` order.
+    Each slot is a tuple of branches of equal length, each a sequence of
+    zeros.  Branches of the last slot vary fastest, so row i is the i-th
+    choice in `itertools.product` order.
     """
     rows, norms = np.ones((1, 1), dtype=complex), np.ones(1)
-    for pair in pairs.pairs:
-        branches = []
-        for flipped in (0,) if pair.on_circle else range(pair.multiplicity + 1):
+    for branches in slots:
+        grown = []
+        for zeros in branches:
             branch = rows, norms
-            for z in _checked(_pair_zeros(pair, flipped)):
+            for z in zeros:
                 branch = _times_linear(*branch, z)
-            branches.append(branch)
-        width = branches[0][0].shape[1]
-        rows = np.stack([r for r, _ in branches], axis=1).reshape(-1, width)
-        norms = np.stack([n for _, n in branches], axis=1).reshape(-1)
-    return _scaled(rows, norms, pairs.leading)
+            grown.append(branch)
+        width = grown[0][0].shape[1]
+        rows = np.stack([r for r, _ in grown], axis=1).reshape(-1, width)
+        norms = np.stack([n for _, n in grown], axis=1).reshape(-1)
+    return rows, norms
 
 
 def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray,
@@ -242,7 +235,10 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     with a pairwise `form_distance` dedupe, including `near_collisions`.
     """
     sizes = tuple(1 if p.on_circle else p.multiplicity + 1 for p in pairs.pairs)
-    table = _selection_table(pairs)
+    # choice f of a pair: f reflected members first, then the kept ones
+    choices = [[_checked([p.reflected] * f + [p.zero] * (p.multiplicity - f)) for f in range(size)]
+               for p, size in zip(pairs.pairs, sizes)]
+    table = _scaled(*_selection_table(choices), pairs.leading)
     live, first, last = _support_bounds(table)
     if not live.all():
         raise ValueError("empty support")
@@ -260,8 +256,6 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     kept_rows = np.array([row for row, _, _ in found], dtype=np.intp)
     masks = (np.column_stack(np.unravel_index(kept_rows, sizes)) if sizes
              else np.zeros((kept_rows.size, 0), dtype=np.intp))
-    choices = [[tuple(_pair_zeros(pair, f)) for f in range(size)]
-               for pair, size in zip(pairs.pairs, sizes)]
     classes = []
     for mask, (_, form, reflected) in zip(map(tuple, masks.tolist()), found):
         zeros = tuple(itertools.chain.from_iterable(

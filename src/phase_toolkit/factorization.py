@@ -330,8 +330,11 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
     Roots within `circle_tol` of the unit circle are snapped onto it and
     must carry even total multiplicity; every remaining root outside the
     circle must be matched by its reflection inside.  Anything else means
-    the polynomial did not come from an autocorrelation.
+    the polynomial did not come from an autocorrelation.  A root without a
+    reflected partner, or one whose partner has another multiplicity,
+    raises `RootFindingError` carrying the input roots as `partial`.
     """
+    roots = list(roots)
     on_circle = []
     inside = []
     outside = []
@@ -377,20 +380,20 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
             if gap < best_gap:
                 best, best_gap = idx, gap
         if best is None or best_gap > cfg.pair_tol * max(1.0, abs(target)):
-            raise ValueError(
+            raise RootFindingError(
                 "input is not a valid autocorrelation spectrum: "
-                f"zero {z!r} has no reflected partner")
+                f"zero {z!r} has no reflected partner", roots)
         partner_mult = inside[best][1]
         if partner_mult != mult:
-            raise ValueError(
+            raise RootFindingError(
                 "input is not a valid autocorrelation spectrum: "
-                f"multiplicity mismatch at zero {z!r}")
+                f"multiplicity mismatch at zero {z!r}", roots)
         del inside[best]
         pairs.append(ZeroPair(z, target, False, mult))
     if inside:
-        raise ValueError(
+        raise RootFindingError(
             "input is not a valid autocorrelation spectrum: "
-            f"zero {inside[0][0]!r} has no reflected partner")
+            f"zero {inside[0][0]!r} has no reflected partner", roots)
 
     pairs.sort(key=lambda p: _sort_key(p.zero))
     return ZeroPairSet(tuple(pairs), complex(leading), snapped)

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -140,3 +141,130 @@ def assert_same_solutions(got, want):
         assert a.canonical.reflected == b.canonical.reflected
         assert a.selection.zeros == b.selection.zeros
         assert a.values.tobytes() == b.values.tobytes()
+
+
+class ReferenceCriteria:
+    """The four uniqueness criteria of one zero set, decided mask by mask.
+
+    An independent reference for `phase_toolkit.criteria`: the admissible
+    subsets come from `itertools.combinations` over the off-circle
+    positions, minus those holding both members of an internal reflected
+    pair and the optional full-free and exact-full exclusions; S of each
+    reflected zero set comes from `np.poly`.  The residual and band
+    formulas are those of the criteria.  `report` returns (unique,
+    equivalence_kind, [(mask, residual), ...], borderline), or raises
+    ValueError when an admissible subset would reflect a zero at the origin.
+    """
+
+    def __init__(self, zeros, cfg=DEFAULT_CONFIG):
+        self.zeros = [complex(z) for z in zeros]
+        self.n = len(self.zeros) + 1
+        self.cfg = cfg
+        self.eligible = [i for i, z in enumerate(self.zeros)
+                         if abs(abs(z) - 1.0) > cfg.circle_tol]
+        self.pairs = [(a, b) for a, b in itertools.combinations(self.eligible, 2)
+                      if abs(self.zeros[a] * self.zeros[b].conjugate() - 1.0) <= cfg.pair_tol]
+        paired = {i for pair in self.pairs for i in pair}
+        self.free = {i for i in self.eligible if i not in paired}
+        self.reference = self._weighted_s(())
+        self._rows = {}
+
+    def masks(self, exclude_full_free=False, exclude_exact_full=False):
+        out = []
+        for take in range(1, len(self.eligible) + 1):
+            for combo in itertools.combinations(self.eligible, take):
+                chosen = set(combo)
+                if any(a in chosen and b in chosen for a, b in self.pairs):
+                    continue
+                if exclude_full_free and chosen == self.free:
+                    continue
+                if exclude_exact_full and chosen == set(range(len(self.zeros))):
+                    continue
+                out.append(combo)
+        return out
+
+    def _reflected(self, mask):
+        if any(self.zeros[p] == 0 for p in mask):
+            raise ValueError("cannot reflect a zero at the origin")
+        return [1.0 / z.conjugate() if i in mask else z for i, z in enumerate(self.zeros)]
+
+    def _weighted_s(self, mask):
+        """w * S_0..S_k of the zero set with `mask` reflected, w = prod |z| over the mask."""
+        weight = math.prod(abs(self.zeros[p]) for p in mask)
+        coeffs = np.atleast_1d(np.poly(self._reflected(mask))).astype(complex)
+        return weight * coeffs * (-1.0) ** np.arange(coeffs.size)
+
+    def _row(self, mask):
+        if mask not in self._rows:
+            self._rows[mask] = self._weighted_s(mask)
+        return self._rows[mask]
+
+    def _in_band(self, residual):
+        return 0.1 * self.cfg.criterion_tol < residual <= 10.0 * self.cfg.criterion_tol
+
+    def _modulus_residual(self, mask, offset):
+        target, candidate = abs(self.reference[offset]), abs(self._row(mask)[offset])
+        return abs(target - candidate) / max(target, candidate, 1.0)
+
+    def _balance(self, pivot, partner):
+        tol = self.cfg.criterion_tol
+        aligned = pivot.conjugate() * partner
+        scale = max(abs(pivot) * abs(partner), 1.0)
+        cross = abs(aligned.imag) / scale
+        meets = cross <= tol and aligned.real >= -tol * scale
+        borderline = self._in_band(cross) or abs(aligned.real) / scale <= 10.0 * tol
+        return cross, meets, borderline
+
+    def report(self, family, *offsets):
+        tol = self.cfg.criterion_tol
+        kind = "rotation"
+        violations = []
+        borderline = False
+        if family == "magnitude":
+            (offset,) = offsets
+            centered = self.n % 2 == 1 and offset == (self.n - 1) // 2
+            if centered:
+                kind = "rotation_reflection"
+            for mask in self.masks(exclude_full_free=centered):
+                residual = self._modulus_residual(mask, offset)
+                borderline |= self._in_band(residual)
+                if residual <= tol:
+                    violations.append((mask, residual))
+        elif family == "all_moduli":
+            for mask in self.masks():
+                residuals = [self._modulus_residual(mask, l) for l in range(self.n)]
+                borderline |= any(self._in_band(r) for r in residuals)
+                if max(residuals) <= tol:
+                    violations.append((mask, max(residuals)))
+            key = lambda z: (z.real, z.imag)
+            full = sorted((1.0 / z.conjugate() for z in self.zeros), key=key)
+            limit = self.cfg.tol(max(abs(z) for z in self.zeros))
+            if violations and all(
+                    max((abs(a - b) for a, b in zip(sorted(self._reflected(mask), key=key), full)),
+                        default=0.0) <= limit
+                    for mask, _ in violations):
+                return True, "rotation_reflection", [], borderline
+        elif family == "phase_endpoint":
+            (offset,) = offsets
+            for mask in self.masks():
+                row = self._row(mask)
+                cross, meets, near = self._balance(self.reference[offset],
+                                                   row[offset] / row[0].real)
+                borderline |= near
+                if meets:
+                    violations.append((mask, cross))
+        else:
+            first, second = offsets
+            symmetric = first + second == self.n - 1
+            if symmetric:
+                kind = "rotation_reflection"
+            for mask in self.masks(exclude_exact_full=symmetric):
+                row = self._row(mask)
+                weight = row[0].real
+                partner = ((row[second] / weight).conjugate() * self.reference[second]
+                           * (row[first] / weight))
+                cross, meets, near = self._balance(self.reference[first], partner)
+                borderline |= near
+                if meets:
+                    violations.append((mask, cross))
+        return not violations, kind, violations, bool(borderline)

@@ -8,12 +8,14 @@ from phase_toolkit import (ROTATION, ROTATION_REFLECTION, SubsetFamily,
                            check_all_moduli_uniqueness,
                            check_magnitude_uniqueness,
                            check_phase_uniqueness_endpoint,
-                           check_phase_uniqueness_two_points,
+                           check_phase_uniqueness_two_points, cluster_roots,
                            elementary_symmetric, elementary_symmetric_all,
-                           modified_zero_set, synthesize)
+                           magnitude_counterexample, modified_zero_set,
+                           synthesize)
 from phase_toolkit.criteria import reflection_table
 
-from helpers import classes_matching_constraints, random_zero_set
+from helpers import (ReferenceCriteria, classes_matching_constraints,
+                     random_zero_set)
 
 
 def test_elementary_symmetric_small_cases():
@@ -363,3 +365,81 @@ def test_magnitude_report_depends_only_on_zeros():
     via_signal = check_magnitude_uniqueness(recovered, 2, 4)
     assert direct.unique == via_signal.unique
     assert direct.equivalence_kind == via_signal.equivalence_kind
+
+
+def _sweep_zero_sets():
+    """Seeded zero sets for the criterion sweep, support lengths 3..10."""
+    rng = np.random.default_rng(6061)
+    for n in range(3, 11):
+        yield random_zero_set(rng, n - 1)
+    for n in (4, 6, 8):
+        on_circle = [complex(np.exp(1j * t)) for t in rng.uniform(-np.pi, np.pi, 2)]
+        yield random_zero_set(rng, n - 3) + on_circle
+    for n in (4, 6, 9):
+        zeros = random_zero_set(rng, n - 2)
+        zeros.insert(1, 1.0 / np.conj(zeros[-1]))
+        yield zeros
+    for n in (4, 7):
+        zeros = random_zero_set(rng, n - 3)
+        yield zeros + [zeros[0], zeros[-1]]
+    yield [-2.0, -3.0, -0.4]
+    yield [-2.0, -0.5, -3.0, 1.5]
+    yield [-2.0, -3.0, -0.4, -5.0, -1.5, -1.2j]
+    for n in (4, 6, 8, 10):
+        pair = magnitude_counterexample(n, 2.0, 2.0)
+        for x in (pair.x, pair.y):
+            yield [root for root, mult in cluster_roots(x.values) for _ in range(mult)]
+
+
+_CHECKS = {"magnitude": check_magnitude_uniqueness, "all_moduli": check_all_moduli_uniqueness,
+           "phase_endpoint": check_phase_uniqueness_endpoint,
+           "phase_two_points": check_phase_uniqueness_two_points}
+
+
+def _criterion_keys(n):
+    """(family, *offsets) for every offset and every ordered pair of offsets."""
+    yield from (("magnitude", offset) for offset in range(n))
+    yield ("all_moduli",)
+    yield from (("phase_endpoint", offset) for offset in range(1, n - 1))
+    yield from (("phase_two_points", *pair)
+                for pair in itertools.permutations(range(1, n - 1), 2))
+
+
+def test_criteria_match_per_mask_reference_sweep():
+    reports = violations = 0
+    for zeros in _sweep_zero_sets():
+        reference = ReferenceCriteria(zeros)
+        n = len(zeros) + 1
+        for key in _criterion_keys(n):
+            unique, kind, expected, borderline = reference.report(*key)
+            got = _CHECKS[key[0]](zeros, *key[1:], n)
+            assert (got.unique, got.equivalence_kind, got.borderline) == \
+                (unique, kind, borderline), (zeros, key)
+            assert [v.mask for v in got.violations] == [m for m, _ in expected], (zeros, key)
+            for v, (_, residual) in zip(got.violations, expected):
+                assert abs(v.residual - residual) <= 1e-13, (zeros, key, v.mask)
+            reports += 1
+            violations += len(expected)
+    assert reports > 700 and violations > 1000
+
+
+def test_subset_family_masks_match_reference_filter():
+    for zeros in _sweep_zero_sets():
+        reference = ReferenceCriteria(zeros)
+        for full_free, exact_full in itertools.product((False, True), repeat=2):
+            family = SubsetFamily(zeros, exclude_full_free=full_free,
+                                  exclude_exact_full=exact_full)
+            assert list(family.masks()) == reference.masks(full_free, exact_full), \
+                (zeros, full_free, exact_full)
+
+
+def test_origin_zero_reflected_only_when_admissible():
+    zeros = [0.0, complex(np.exp(0.7j))]
+    # centred modulus: the only admissible subset, the origin, is the full free set
+    rep = check_magnitude_uniqueness(zeros, 1, 3)
+    assert rep.unique and rep.equivalence_kind == ROTATION_REFLECTION
+    assert rep.violations == ()
+    with pytest.raises(ValueError, match="cannot reflect a zero at the origin"):
+        check_magnitude_uniqueness(zeros, 0, 3)
+    with pytest.raises(ValueError, match="cannot reflect a zero at the origin"):
+        check_phase_uniqueness_two_points([0.0, 2.0, 3.0j], 1, 2, 4)

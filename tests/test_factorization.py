@@ -251,6 +251,15 @@ def test_pair_roots_rejects_unmatched_zero():
         pair_roots([(2.0 + 0j, 1), (3.0 + 0j, 1)])
 
 
+def test_pair_roots_failures_are_root_finding_errors():
+    for roots, message in (([(2.0 + 0j, 1), (3.0 + 0j, 1)], "no reflected partner"),
+                           ([(0.5 + 0j, 1), (0.25 + 0j, 1)], "no reflected partner"),
+                           ([(2.0 + 0j, 1), (0.5 + 0j, 3)], "multiplicity mismatch")):
+        with pytest.raises(RootFindingError, match=message) as info:
+            pair_roots(iter(roots))
+        assert info.value.partial == roots
+
+
 def test_pair_roots_rejects_odd_count():
     with pytest.raises(ValueError, match="odd number"):
         pair_roots([(2.0 + 0j, 1), (0.5 + 0j, 1), (3.0 + 0j, 1)])
