@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -47,6 +48,7 @@ class CliError(Exception):
     """Input or domain problem that maps to exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-abs", type=float, default=None,
@@ -168,7 +170,7 @@ def _write_result(text: str, args) -> None:
 
 def _solution_text(solutions, args) -> str:
     if args.format == "csv":
-        return ser.signals_to_csv(cls.signal() for cls in solutions.classes)
+        return ser.signals_to_csv(solutions.classes)
     return ser.dumps(ser.solution_set_to_dict(solutions))
 
 

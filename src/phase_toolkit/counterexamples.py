@@ -16,8 +16,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .enumeration import enumerate_solutions, synthesize
 from .factorization import pairs_from_zeros
-from .signals import (Signal, autocorrelation, canonicalize, form_distance,
-                      fourier_intensity)
+from .signals import (Signal, _wrap_angle, autocorrelation, canonicalize,
+                      form_distance, fourier_intensity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +45,8 @@ def verify_counterexample(pair: CounterexamplePair,
     """Measured deviations of the pair's shared and differing properties.
 
     Returns a dict with the worst intensity gap over the probe grid, the
-    worst componentwise modulus and phase gaps, and the canonical-form
-    distance modulo all trivial transforms.
+    worst componentwise modulus gap and wrapped phase gap, and the
+    canonical-form distance modulo all trivial transforms.
     """
     if probes is None:
         probes = _probe_grid()
@@ -55,7 +55,7 @@ def verify_counterexample(pair: CounterexamplePair,
     vx, vy = pair.x.values, pair.y.values
     if vx.size == vy.size:
         modulus_gap = float(np.abs(np.abs(vx) - np.abs(vy)).max())
-        phase_gap = float(np.abs(np.angle(vx) - np.angle(vy)).max())
+        phase_gap = float(np.abs(_wrap_angle(np.angle(vx) - np.angle(vy))).max())
     else:
         modulus_gap = phase_gap = float("inf")
     canonical_gap = form_distance(

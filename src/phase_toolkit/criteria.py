@@ -96,24 +96,18 @@ class SubsetFamily:
         object.__setattr__(self, "zeros", _zeros_of(self.zeros))
 
     def eligible_positions(self) -> tuple:
-        return tuple(i for i, z in enumerate(self.zeros)
-                     if abs(abs(z) - 1.0) > self.cfg.circle_tol)
+        return _selection(self.zeros, self.cfg)[0]
 
     def internal_pairs(self) -> tuple:
-        eligible = self.eligible_positions()
-        pairs = []
-        for a, b in itertools.combinations(eligible, 2):
-            if abs(self.zeros[a] * self.zeros[b].conjugate() - 1.0) <= self.cfg.pair_tol:
-                pairs.append((a, b))
-        return tuple(pairs)
+        return _selection(self.zeros, self.cfg)[1]
 
     def free_positions(self) -> tuple:
-        paired = {i for pair in self.internal_pairs() for i in pair}
-        return tuple(i for i in self.eligible_positions() if i not in paired)
+        eligible, _, bits, _, free, _ = _selection(self.zeros, self.cfg)
+        return tuple(itertools.compress(eligible, bits[free]))
 
     def _admitted(self):
         """Admissible rows of the shared `_selection`, in `masks()` order."""
-        eligible, bits, rows, free, _ = _selection(self.zeros, self.cfg)
+        eligible, _, bits, rows, free, _ = _selection(self.zeros, self.cfg)
         if self.exclude_full_free:
             rows = rows[rows != free]
         if self.exclude_exact_full and len(eligible) == len(self.zeros):
@@ -121,7 +115,7 @@ class SubsetFamily:
         return rows
 
     def _masks(self, rows) -> list:
-        eligible, bits, *_ = _selection(self.zeros, self.cfg)
+        eligible, _, bits, *_ = _selection(self.zeros, self.cfg)
         return [tuple(itertools.compress(eligible, b)) for b in bits[rows].tolist()]
 
     def masks(self):
@@ -131,27 +125,31 @@ class SubsetFamily:
 
 @functools.lru_cache(maxsize=1)
 def _selection(zeros: tuple, cfg: ToleranceConfig):
-    """Eligible positions, bits per row, admissible rows, free-set row, table.
+    """Eligible positions, internal pairs, bits per row, admissible rows, free-set row, table.
 
-    Row r reflects the eligible positions whose bits are set, the first the
-    most significant.  Admissible rows reflect something but no complete
-    internal pair, by popcount, then by descending index: within a popcount,
-    the lexicographic order of position tuples.  One entry serves one zero set.
+    Internal pairs come from the upper triangle in `itertools.combinations`
+    order.  Row r reflects the eligible positions whose bits are set, the
+    first the most significant.  Admissible rows reflect something but no
+    complete internal pair, by popcount, then by descending index: within a
+    popcount, the lexicographic order of position tuples.  One entry serves
+    one zero set.
     """
-    family = SubsetFamily(zeros, cfg=cfg)
-    eligible = family.eligible_positions()
-    bit = {p: 1 << (len(eligible) - 1 - j) for j, p in enumerate(eligible)}
-    index = np.arange(1 << len(eligible))
-    bits = (index[:, None] & np.array(list(bit.values()), dtype=index.dtype)) != 0
-    admissible = index != 0
-    for a, b in family.internal_pairs():
-        admissible &= (index & (bit[a] | bit[b])) != bit[a] | bit[b]
-    rows = np.flatnonzero(admissible)[::-1]
+    items = np.array(zeros, dtype=complex)
+    eligible = np.flatnonzero(np.abs(np.abs(items) - 1.0) > cfg.circle_tol)
+    moved = items[eligible]
+    first, second = np.nonzero(np.triu(
+        np.abs(np.multiply.outer(moved, moved.conj()) - 1.0) <= cfg.pair_tol, 1))
+    weight = 1 << np.arange(eligible.size)[::-1]
+    index = np.arange(1 << eligible.size)
+    bits = (index[:, None] & weight) != 0
+    both = weight[first] | weight[second]
+    rows = np.flatnonzero((index != 0) & ~((index[:, None] & both) == both).any(axis=1))[::-1]
     rows = rows[np.argsort(bits[rows].sum(axis=1), kind="stable")]
-    free = sum(bit[p] for p in family.free_positions())
-    table = reflection_table(zeros, [p for p in eligible if zeros[p] != 0])
+    free = index[-1] & ~np.bitwise_or.reduce(both, initial=0)
+    table = reflection_table(zeros, eligible[moved != 0].tolist())
     table.flags.writeable = False
-    return eligible, bits, rows, free, table
+    pairs = tuple(zip(eligible[first].tolist(), eligible[second].tolist()))
+    return tuple(eligible.tolist()), pairs, bits, rows, int(free), table
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,8 @@ def _checked_zeros(zeros, support_len: int):
 def _family_rows(family: SubsetFamily):
     """Admissible rows, the reflection table, and its reference row (column 0 is w)."""
     rows = family._admitted()
-    _, bits, _, _, table = _selection(family.zeros, family.cfg)
-    if rows.size and len(table) < len(bits):  # the origin is eligible but not reflectable
+    eligible, _, bits, _, _, table = _selection(family.zeros, family.cfg)
+    if bits[rows][:, [family.zeros[p] == 0 for p in eligible]].any():
         raise ValueError("cannot reflect a zero at the origin")
     return rows, table, table[0]
 

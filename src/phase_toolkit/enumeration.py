@@ -265,36 +265,29 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     return SolutionSet(tuple(classes), int(table.shape[0]), modulo_reflection, near)
 
 
-def _phases_satisfied(values: np.ndarray, targets, cfg: ToleranceConfig) -> bool:
-    """Check phase constraints after fitting the free global rotation.
+def _rows_satisfy(rows: np.ndarray, constraints, cfg: ToleranceConfig) -> np.ndarray:
+    """Which rows of a (K, L) array meet every constraint, up to a global rotation.
 
-    Components at rounding level carry no phase information and satisfy any
-    target; the rotation is the circular mean of the remaining mismatches.
+    A modulus passes within cfg.tol of the larger of the two moduli.  Phase
+    targets at components of rounding level (cfg.tol of the row's peak)
+    carry no phase information and pass; the rotation is the circular mean
+    of the remaining mismatches.  An index outside the row fails it.
     """
-    scale = float(np.abs(values).max())
-    active = [(idx, want) for idx, want in targets
-              if abs(values[idx]) > cfg.tol(scale)]
-    if not active:
-        return True
-    gaps = np.array([want - np.angle(values[idx]) for idx, want in active])
-    rotation = float(np.angle(np.exp(1j * gaps).sum()))
-    worst = float(np.abs(_wrap_angle(gaps - rotation)).max())
-    return worst <= cfg.tol(np.pi)
-
-
-def _representative_satisfies(values: np.ndarray, constraints,
-                              cfg: ToleranceConfig) -> bool:
-    phase_targets = []
-    for c in constraints:
-        if c.index >= values.size:
-            return False
-        if c.kind == "magnitude":
-            have = abs(values[c.index])
-            if abs(have - c.value) > cfg.tol(max(have, c.value)):
-                return False
-        else:
-            phase_targets.append((c.index, c.value))
-    return _phases_satisfied(values, phase_targets, cfg)
+    if any(c.index >= rows.shape[1] for c in constraints):
+        return np.zeros(rows.shape[0], dtype=bool)
+    mags = np.abs(rows)
+    moduli = [c for c in constraints if c.kind == "magnitude"]
+    phases = [c for c in constraints if c.kind == "phase"]
+    have, want = mags[:, [c.index for c in moduli]], np.array([c.value for c in moduli])
+    ok = (np.abs(have - want) <= cfg.atol + cfg.rtol * np.maximum(have, want)).all(axis=1)
+    if phases:
+        at, want = [c.index for c in phases], np.array([c.value for c in phases])
+        active = mags[:, at] > cfg.atol + cfg.rtol * mags.max(axis=1, keepdims=True)
+        gaps = want - np.angle(rows[:, at])
+        rotation = np.angle(np.where(active, np.exp(1j * gaps), 0).sum(axis=1, keepdims=True))
+        worst = np.where(active, np.abs(_wrap_angle(gaps - rotation)), 0.0).max(axis=1)
+        ok &= worst <= cfg.tol(np.pi)
+    return ok
 
 
 def filter_by_constraints(solutions: SolutionSet, constraints,
@@ -313,15 +306,17 @@ def filter_by_constraints(solutions: SolutionSet, constraints,
             raise ValueError(
                 f"constraint index {c.index} outside the support of length "
                 f"{solutions.classes[0].values.size}")
-    kept = []
-    for cls in solutions.classes:
-        candidates = [cls.canonical.values]
+    lengths = np.array([cls.values.size for cls in solutions.classes])
+    keep = np.zeros(lengths.size, dtype=bool)
+    for length in np.unique(lengths):
+        at = np.flatnonzero(lengths == length)
+        rows = np.stack([solutions.classes[i].values for i in at])
+        keep[at] = _rows_satisfy(rows, wanted, cfg)
         if solutions.modulo_reflection:
-            candidates.append(np.conj(cls.canonical.values[::-1]))
-        if any(_representative_satisfies(v, wanted, cfg) for v in candidates):
-            kept.append(cls)
-    return SolutionSet(tuple(kept), solutions.total_enumerated,
-                       solutions.modulo_reflection, solutions.near_collisions)
+            keep[at] |= _rows_satisfy(np.conj(rows[:, ::-1]), wanted, cfg)
+    return SolutionSet(tuple(itertools.compress(solutions.classes, keep)),
+                       solutions.total_enumerated, solutions.modulo_reflection,
+                       solutions.near_collisions)
 
 
 def recover(acf: Autocorrelation, constraints=(),

@@ -8,6 +8,7 @@ fixed key order, making repeated runs byte-for-byte identical.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -50,7 +51,10 @@ def _pair(z) -> list:
 def _complex_from(item) -> complex:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise ValueError(f"expected a [re, im] pair, got {item!r}")
-    return complex(float(item[0]), float(item[1]))
+    z = complex(float(item[0]), float(item[1]))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"expected a pair of finite numbers, got {item!r}")
+    return z
 
 
 def signal_to_dict(x: Signal) -> dict:
@@ -125,8 +129,9 @@ def zero_pairs_from_dict(data: dict) -> ZeroPairSet:
 
 
 def solution_set_to_dict(solutions: SolutionSet) -> dict:
+    # class values are trimmed canonical rows, a `Signal` at offset 0 as they stand
     classes = [{"mask": [int(m) for m in cls.mask],
-                "signal": signal_to_dict(cls.signal())}
+                "signal": {"offset": 0, "values": [_pair(v) for v in cls.values]}}
                for cls in solutions.classes]
     return {"classes": classes, "total_enumerated": int(solutions.total_enumerated)}
 

@@ -43,12 +43,10 @@ class Signal:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.values)
-        mags = np.abs(arr)
-        peak = float(mags.max()) if arr.size else 0.0
-        keep = np.nonzero(mags > DEFAULT_CONFIG.trim_threshold * peak)[0]
-        if peak == 0.0 or keep.size == 0:
+        live, first, last = _support_bounds(arr[None, :]) if arr.size else ((False,), (), ())
+        if not live[0]:
             raise ValueError("empty support")
-        lo, hi = int(keep[0]), int(keep[-1])
+        lo, hi = int(first[0]), int(last[0])
         object.__setattr__(self, "values", _readonly(arr[lo:hi + 1]))
         object.__setattr__(self, "offset", int(self.offset) + lo)
 
@@ -170,8 +168,7 @@ def _support_bounds(rows: np.ndarray):
 
     Returns (live, first, last): whether a row has any entry above
     trim_threshold times its peak modulus, and the first and last such index.
-    `Signal` keeps its own scalar form of the rule, which is cheaper for the
-    one row it holds.
+    `Signal` trims its one row with it.
     """
     mags = np.abs(rows)
     keep = mags > DEFAULT_CONFIG.trim_threshold * mags.max(axis=1, keepdims=True)
@@ -265,6 +262,8 @@ def acf_from_intensity_samples(samples, support_len: int,
     data = np.asarray([(float(w), float(v)) for w, v in samples], dtype=float)
     if data.size == 0:
         raise ValueError("underdetermined sample set: no samples given")
+    if not np.isfinite(data).all():
+        raise ValueError("intensity samples must be finite")
     omegas = _wrap_angle(data[:, 0])
     intensities = data[:, 1]
     scale = float(max(1.0, np.abs(intensities).max()))

@@ -268,3 +268,47 @@ class ReferenceCriteria:
                 if meets:
                     violations.append((mask, cross))
         return not violations, kind, violations, bool(borderline)
+
+
+def reference_filter(solutions, constraints, cfg=DEFAULT_CONFIG):
+    """Kept flag of each class under `filter_by_constraints`, decided class by class.
+
+    A class is tested on its canonical values and, when the set was
+    enumerated modulo reflection, also on their conjugate reflection.  A
+    modulus passes within cfg.tol of the larger of the two moduli.  Phase
+    targets at entries of rounding level (cfg.tol of the peak) pass; the
+    remaining mismatches are fitted with one global rotation, their circular
+    mean, and the largest wrapped residual must be at most cfg.tol(pi).  An
+    index outside the support fails.
+    """
+
+    def phases_satisfied(values, targets):
+        scale = float(np.abs(values).max())
+        active = [(idx, want) for idx, want in targets if abs(values[idx]) > cfg.tol(scale)]
+        if not active:
+            return True
+        gaps = np.array([want - np.angle(values[idx]) for idx, want in active])
+        rotation = float(np.angle(np.exp(1j * gaps).sum()))
+        wrapped = np.mod(gaps - rotation + np.pi, 2.0 * np.pi) - np.pi
+        return float(np.abs(wrapped).max()) <= cfg.tol(np.pi)
+
+    def satisfies(values):
+        phase_targets = []
+        for c in constraints:
+            if c.index >= values.size:
+                return False
+            if c.kind == "magnitude":
+                have = abs(values[c.index])
+                if abs(have - c.value) > cfg.tol(max(have, c.value)):
+                    return False
+            else:
+                phase_targets.append((c.index, c.value))
+        return phases_satisfied(values, phase_targets)
+
+    keep = []
+    for cls in solutions.classes:
+        candidates = [cls.canonical.values]
+        if solutions.modulo_reflection:
+            candidates.append(np.conj(cls.canonical.values[::-1]))
+        keep.append(any(satisfies(v) for v in candidates))
+    return keep

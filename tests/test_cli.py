@@ -264,3 +264,30 @@ def test_csv_format_multiple_blocks(tmp_path, capsys):
     assert len(blocks) == 2
     for block in blocks:
         assert all("," in line for line in block.splitlines())
+
+
+@pytest.mark.parametrize("command, document", [
+    ("enumerate", {"offset": 0, "values": [[1.0, 0.0], [float("nan"), 0.0]]}),
+    ("enumerate", {"offset": 0, "values": [[1.0, 0.0], [2.0, float("inf")]]}),
+    ("enumerate", {"n": 2, "coeffs": [[6, 0], [float("nan"), 0], [6, 0]]}),
+    ("enumerate", {"n": 2, "samples": [[0.0, 25.0], [2.0, float("nan")], [4.0, 9.0]]}),
+    ("recover", [{"kind": "phase", "index": 0, "value": float("nan")}]),
+], ids=["signal-nan", "signal-inf", "coeffs-nan", "samples-nan", "constraint-nan"])
+def test_non_finite_input_is_rejected(tmp_path, capsys, command, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    if command == "recover":
+        argv = ["recover", _write_acf(tmp_path / "acf.json", [1.0, 2.0]), str(path)]
+    else:
+        argv = ["enumerate", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "finite" in captured.err
+
+
+def test_counterexample_phase_rejects_complex_zeros(capsys):
+    rc = main(["counterexample", "phase", "--zeros=-2+0j,-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "bad --zeros list" in captured.err

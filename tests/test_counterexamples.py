@@ -130,3 +130,13 @@ def test_counterexamples_are_not_reflections():
     a = canonicalize(pair.x, modulo_reflection=True)
     b = canonicalize(pair.y, modulo_reflection=True)
     assert form_distance(a, b) > 1e-3
+
+
+def test_verify_counterexample_wraps_phase_gap():
+    # -1-0j and -1+0j are the same number with angles -pi and pi
+    x = Signal(0, [complex(-1.0, -0.0), 2.0])
+    y = Signal(0, [complex(-1.0, 0.0), 2.0])
+    report = verify_counterexample(CounterexamplePair(x, y, True, True))
+    assert report["phase_gap"] == 0.0
+    pair = magnitude_counterexample(4, 2.0, 3.0)
+    assert 2.70 < verify_counterexample(pair)["phase_gap"] <= np.pi

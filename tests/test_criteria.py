@@ -431,6 +431,9 @@ def test_subset_family_masks_match_reference_filter():
                                   exclude_exact_full=exact_full)
             assert list(family.masks()) == reference.masks(full_free, exact_full), \
                 (zeros, full_free, exact_full)
+            assert family.eligible_positions() == tuple(reference.eligible), zeros
+            assert family.internal_pairs() == tuple(reference.pairs), zeros
+            assert family.free_positions() == tuple(sorted(reference.free)), zeros
 
 
 def test_origin_zero_reflected_only_when_admissible():

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phase_toolkit import (Constraint, Signal, autocorrelation, canonicalize,
-                           enumerate_solutions, filter_by_constraints,
-                           form_distance, fourier_intensity, pairs_from_zeros,
-                           recover, synthesize)
+from phase_toolkit import (Constraint, Signal, SolutionSet, autocorrelation,
+                           canonicalize, enumerate_solutions,
+                           filter_by_constraints, form_distance,
+                           fourier_intensity, pairs_from_zeros, recover,
+                           synthesize)
 
 from helpers import (assert_same_solutions, constraints_from_signal,
                      probe_grid, random_signal, random_zero_set,
-                     reference_enumeration)
+                     reference_enumeration, reference_filter)
 
 
 def _pairs_of(values):
@@ -203,6 +204,57 @@ def test_filter_tries_reflection_when_merged():
                                        ("magnitude", 2), ("magnitude", 3)])
     kept = filter_by_constraints(sols, cons)
     assert len(kept) >= 1
+
+
+def _constraint_sweep_pairs(rng):
+    for n in range(3, 10):
+        for complex_valued in (True, False):
+            yield _pairs_of(random_signal(rng, n, complex_valued))
+        angles = rng.uniform(-np.pi, np.pi, size=max(1, (n - 1) // 2))
+        zeros = random_zero_set(rng, n - 1 - angles.size) + [cmath.exp(1j * a) for a in angles]
+        yield pairs_from_zeros(zeros, leading=1.0)
+    # trimmed supports of two lengths, then entries between the trim level and cfg.tol
+    for zeros in ([1e-7, 1e-7, 2j, -1.5], [3e-5, 3e-5, 2j, -1.5], [2e-6, 3e-6, 2j, -1.5]):
+        yield pairs_from_zeros(zeros, leading=1.0)
+
+
+def test_filter_by_constraints_matches_reference_filter():
+    rng = np.random.default_rng(4321)
+    filters = mixed = at_rounding = past_end = 0
+    for pairs in _constraint_sweep_pairs(rng):
+        for modulo_reflection in (False, True):
+            classes = enumerate_solutions(pairs, modulo_reflection).classes
+            # the first class sets the admitted indices; when it is not the
+            # shortest, an index can lie past the end of a later class
+            for ordered in (classes, classes[1:] + classes[:1]):
+                sols = SolutionSet(ordered, len(ordered), modulo_reflection)
+                size = ordered[0].values.size
+                for _ in range(6):
+                    # targets read off one class under a random rotation, some of them nudged
+                    source = ordered[int(rng.integers(len(ordered)))].values
+                    source = source * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+                    picks = rng.choice(size, size=min(size, int(rng.integers(1, 4))),
+                                       replace=False)
+                    cons = []
+                    for idx in picks.tolist():
+                        value = source[min(idx, source.size - 1)]
+                        nudge = rng.choice([0.0, 0.0, 1e-10, 1e-3])
+                        if rng.uniform() < 0.5:
+                            cons.append(Constraint("magnitude", idx, abs(value) + nudge))
+                        else:
+                            cons.append(Constraint("phase", idx, cmath.phase(value) + nudge))
+                    got = filter_by_constraints(sols, cons)
+                    keep = reference_filter(sols, cons)
+                    assert [id(c) for c in got.classes] == \
+                        [id(c) for c, k in zip(ordered, keep) if k], (pairs, cons)
+                    filters += 1
+                    mixed += 0 < sum(keep) < len(keep)
+                    for cls, c in itertools.product(ordered, cons):
+                        past_end += c.index >= cls.values.size
+                        if c.kind == "phase" and c.index < cls.values.size:
+                            peak = np.abs(cls.values).max()
+                            at_rounding += abs(cls.values[c.index]) <= 1e-9 * (1 + peak)
+    assert filters > 500 and mixed > 200 and at_rounding > 20 and past_end > 20
 
 
 def test_recover_round_trip():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from phase_toolkit.serialization import (acf_from_dict, acf_to_dict,
                                          zero_pairs_from_dict,
                                          zero_pairs_to_dict)
 
-from helpers import random_signal
+from phase_toolkit.cli import _solution_text
+
+from helpers import random_signal, random_zero_set
 
 
 def test_signal_round_trip():
@@ -102,6 +105,25 @@ def test_solution_set_round_trip():
     for a, b in zip(back.classes, sols.classes):
         assert a.mask == b.mask
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_solution_writers_match_per_class_signals():
+    # class values are trimmed rows at offset 0, so writing them as they stand
+    # gives the text of one `Signal` per class
+    rng = np.random.default_rng(808)
+    zero_sets = [random_zero_set(rng, n) for n in range(1, 9)]
+    zero_sets += [[1e-7, 1e-7, 2j, -1.5], [3e-5, 3e-5, 2j, -1.5], [2.0, 2.0, 0.5j],
+                  [np.exp(0.3j), np.exp(-1.2j), -2.0, 1.5j], [-2.0, -3.0, -0.4]]
+    for zeros in zero_sets:
+        for modulo_reflection in (False, True):
+            sols = enumerate_solutions(pairs_from_zeros(zeros, leading=1.0), modulo_reflection)
+            signals = [cls.signal() for cls in sols.classes]
+            want = {"classes": [{"mask": list(cls.mask), "signal": signal_to_dict(sig)}
+                                for cls, sig in zip(sols.classes, signals)],
+                    "total_enumerated": sols.total_enumerated}
+            assert dumps(solution_set_to_dict(sols)) == dumps(want)
+            csv = _solution_text(sols, SimpleNamespace(format="csv"))
+            assert csv == signals_to_csv(signals)
 
 
 def test_report_to_dict_keys():
