@@ -26,15 +26,14 @@ import numpy as np
 from . import serialization as ser
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .counterexamples import (magnitude_counterexample, phase_counterexample,
-                              verify_counterexample, _probe_grid)
+                              _probe_grid, _verify_family)
 from .criteria import (check_all_moduli_uniqueness, check_magnitude_uniqueness,
                        check_phase_uniqueness_endpoint,
                        check_phase_uniqueness_two_points)
-from .enumeration import enumerate_solutions, filter_by_constraints, recover
+from .enumeration import enumerate_solutions, recover
 from .factorization import (associated_polynomial, cluster_roots, find_roots,
                             pair_roots)
-from .signals import (Signal, acf_from_intensity_samples, autocorrelation,
-                      fourier_intensity)
+from .signals import acf_from_intensity_samples, autocorrelation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,8 +176,7 @@ def _solution_text(solutions, args) -> str:
 def _verification_probes(seed):
     probes = _probe_grid()
     if seed is not None:
-        rng = np.random.default_rng(seed)
-        probes = np.concatenate([probes, rng.uniform(-np.pi, np.pi, 32)])
+        probes = np.concatenate([probes, np.random.default_rng(seed).uniform(-np.pi, np.pi, 32)])
     return probes
 
 
@@ -275,15 +273,13 @@ def _cmd_recover(args, cfg: ToleranceConfig) -> int:
 
 
 def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
-    probes = _verification_probes(args.seed)
     if args.kind == "modulus":
         if args.support is None:
             raise CliError("modulus construction needs --support")
-        pair = magnitude_counterexample(args.support, args.split_radius,
-                                        args.repeated_radius, cfg)
-        pairs = [pair]
-        text = (ser.dumps(ser.counterexample_to_dict(pair)) if args.format == "json"
-                else ser.signals_to_csv([pair.x, pair.y]))
+        pairs = [magnitude_counterexample(args.support, args.split_radius,
+                                          args.repeated_radius, cfg)]
+        text = (ser.dumps(ser.counterexample_to_dict(pairs[0])) if args.format == "json"
+                else ser.signals_to_csv([pairs[0].x, pairs[0].y]))
     else:
         if args.zeros is None:
             raise CliError("phase construction needs --zeros")
@@ -295,13 +291,12 @@ def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
         text = (ser.dumps([ser.counterexample_to_dict(p) for p in pairs])
                 if args.format == "json"
                 else ser.signals_to_csv([pairs[0].x] + [p.y for p in pairs]))
-    for idx, pair in enumerate(pairs):
-        report = verify_counterexample(pair, cfg, probes)
-        sys.stderr.write(
-            f"pair {idx}: intensity gap {report['intensity_gap']:.3e}, "
-            f"modulus gap {report['modulus_gap']:.3e}, "
-            f"phase gap {report['phase_gap']:.3e}, "
-            f"canonical gap {report['canonical_gap']:.3e}\n")
+    if pairs:
+        gaps = _verify_family(pairs[0].x, [p.y for p in pairs], cfg,
+                              _verification_probes(args.seed))
+        for idx, row in enumerate(zip(*gaps.values())):
+            sys.stderr.write(f"pair {idx}: " + ", ".join(
+                f"{key.replace('_', ' ')} {gap:.3e}" for key, gap in zip(gaps, row)) + "\n")
     _write_result(text, args)
     return EXIT_OK
 

@@ -16,8 +16,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .enumeration import enumerate_solutions, synthesize
 from .factorization import pairs_from_zeros
-from .signals import (Signal, _wrap_angle, autocorrelation, canonicalize,
-                      form_distance, fourier_intensity)
+from .signals import Signal, _canonical_rows, _wrap_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +38,33 @@ def _probe_grid(count: int = 128) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, count, endpoint=False) + 0.0123456789
 
 
+def _verify_family(x: Signal, partners, cfg: ToleranceConfig, probes) -> dict:
+    """The gaps of `verify_counterexample` for x against each partner, as arrays.
+
+    x and the partners are zero-padded rows, transformed in one product; the
+    intensity depends on neither the padding nor the offsets.  x is
+    canonicalised once, partners of its length together; a partner of another
+    length is infinitely far in modulus, phase and canonical form.
+    """
+    signals = [x, *partners]
+    lengths = np.array([s.support_len for s in signals])
+    rows = np.zeros((lengths.size, lengths.max()), dtype=complex)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.concatenate([s.values for s in signals])
+    waves = np.exp(-1j * np.multiply.outer(np.atleast_1d(probes), np.arange(rows.shape[1])))
+    intensity = np.abs(waves @ rows.T) ** 2
+    gaps = {"intensity_gap": np.abs(intensity[:, :1] - intensity[:, 1:]).max(axis=0)}
+    # only rows of x's length are compared: a padded row can be all zero there
+    vx, same = x.values, lengths[1:] == x.support_len
+    vy = rows[1:][same, :vx.size]
+    form_x = _canonical_rows(vx[None, :], True, cfg)[0]
+    for key, gap in (("modulus_gap", np.abs(np.abs(vx) - np.abs(vy))),
+                     ("phase_gap", np.abs(_wrap_angle(np.angle(vx) - np.angle(vy)))),
+                     ("canonical_gap", np.abs(form_x - _canonical_rows(vy, True, cfg)[0]))):
+        gaps[key] = np.full(len(partners), np.inf)
+        gaps[key][same] = gap.max(axis=1)
+    return gaps
+
+
 def verify_counterexample(pair: CounterexamplePair,
                           cfg: ToleranceConfig = DEFAULT_CONFIG,
                           probes=None) -> dict:
@@ -48,25 +74,8 @@ def verify_counterexample(pair: CounterexamplePair,
     worst componentwise modulus gap and wrapped phase gap, and the
     canonical-form distance modulo all trivial transforms.
     """
-    if probes is None:
-        probes = _probe_grid()
-    intensity_gap = float(np.abs(fourier_intensity(pair.x, probes)
-                                 - fourier_intensity(pair.y, probes)).max())
-    vx, vy = pair.x.values, pair.y.values
-    if vx.size == vy.size:
-        modulus_gap = float(np.abs(np.abs(vx) - np.abs(vy)).max())
-        phase_gap = float(np.abs(_wrap_angle(np.angle(vx) - np.angle(vy))).max())
-    else:
-        modulus_gap = phase_gap = float("inf")
-    canonical_gap = form_distance(
-        canonicalize(pair.x, modulo_reflection=True, cfg=cfg),
-        canonicalize(pair.y, modulo_reflection=True, cfg=cfg))
-    return {
-        "intensity_gap": intensity_gap,
-        "modulus_gap": modulus_gap,
-        "phase_gap": phase_gap,
-        "canonical_gap": canonical_gap,
-    }
+    return {key: float(gap[0]) for key, gap in _verify_family(
+        pair.x, [pair.y], cfg, _probe_grid() if probes is None else probes).items()}
 
 
 def magnitude_counterexample(support_len: int, split_radius: float,
@@ -86,8 +95,9 @@ def magnitude_counterexample(support_len: int, split_radius: float,
     n = int(support_len)
     if n <= 3:
         raise ValueError("support length must exceed 3")
-    r = float(split_radius)
-    s = float(repeated_radius)
+    r, s = float(split_radius), float(repeated_radius)
+    if not np.isfinite([r, s]).all():
+        raise ValueError("zero radii must be finite")
     if not (r > 1.0 and s > 1.0):
         raise ValueError("zero radii must exceed 1")
     zeros_x = [r, -1.0 / r] + [1j * s] * (n - 3)
@@ -121,6 +131,8 @@ def phase_counterexample(zeros, support_len: int | None = None,
         support_len: optional support length N for cross-validation.
     """
     items = [complex(z) for z in zeros]
+    if not np.isfinite(items).all():
+        raise ValueError("zeros must be finite")
     if support_len is not None and len(items) != int(support_len) - 1:
         raise ValueError(
             f"expected {int(support_len) - 1} zeros for support length {support_len}")
@@ -138,21 +150,14 @@ def phase_counterexample(zeros, support_len: int | None = None,
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
     solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 
-    reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
-    gaps = [form_distance(cls.canonical, reference_form) for cls in solutions.classes]
+    partners = [cls.signal() for cls in solutions.classes]
+    gaps = _verify_family(reference, partners, cfg, _probe_grid())["canonical_gap"]
     own = int(np.argmin(gaps))
-    scale = float(np.abs(reference.values).max())
-    if gaps[own] > cfg.dedupe_tol * scale:
+    if gaps[own] > cfg.dedupe_tol * float(np.abs(reference.values).max()):
         raise ArithmeticError("enumeration lost the reference signal's class")
-
-    out = []
-    for idx, cls in enumerate(solutions.classes):
-        if idx == own:
-            continue
-        partner = cls.signal()
-        worst_phase = float(np.abs(np.angle(partner.values)).max())
-        if worst_phase > cfg.tol(np.pi) * 100.0:
-            raise ArithmeticError("enumerated class is not non-negative")
-        out.append(CounterexamplePair(reference, partner,
-                                      shared_moduli=False, shared_phases=True))
-    return out
+    del partners[own]
+    if partners and np.abs(np.angle(np.concatenate([y.values for y in partners]))).max() \
+            > cfg.tol(np.pi) * 100.0:
+        raise ArithmeticError("enumerated class is not non-negative")
+    return [CounterexamplePair(reference, y, shared_moduli=False, shared_phases=True)
+            for y in partners]

@@ -96,14 +96,14 @@ class SubsetFamily:
         object.__setattr__(self, "zeros", _zeros_of(self.zeros))
 
     def eligible_positions(self) -> tuple:
-        return _selection(self.zeros, self.cfg)[0]
+        return _positions(self.zeros, self.cfg)[0]
 
     def internal_pairs(self) -> tuple:
-        return _selection(self.zeros, self.cfg)[1]
+        return _positions(self.zeros, self.cfg)[1]
 
     def free_positions(self) -> tuple:
-        eligible, _, bits, _, free, _ = _selection(self.zeros, self.cfg)
-        return tuple(itertools.compress(eligible, bits[free]))
+        eligible, _, _, free = _positions(self.zeros, self.cfg)
+        return tuple(p for j, p in enumerate(eligible) if free >> (len(eligible) - 1 - j) & 1)
 
     def _admitted(self):
         """Admissible rows of the shared `_selection`, in `masks()` order."""
@@ -124,15 +124,12 @@ class SubsetFamily:
 
 
 @functools.lru_cache(maxsize=1)
-def _selection(zeros: tuple, cfg: ToleranceConfig):
-    """Eligible positions, internal pairs, bits per row, admissible rows, free-set row, table.
+def _positions(zeros: tuple, cfg: ToleranceConfig):
+    """Eligible positions, internal pairs, the row bits of each pair, and the free-set row.
 
     Internal pairs come from the upper triangle in `itertools.combinations`
     order.  Row r reflects the eligible positions whose bits are set, the
-    first the most significant.  Admissible rows reflect something but no
-    complete internal pair, by popcount, then by descending index: within a
-    popcount, the lexicographic order of position tuples.  One entry serves
-    one zero set.
+    first the most significant.  One entry serves one zero set.
     """
     items = np.array(zeros, dtype=complex)
     eligible = np.flatnonzero(np.abs(np.abs(items) - 1.0) > cfg.circle_tol)
@@ -140,16 +137,29 @@ def _selection(zeros: tuple, cfg: ToleranceConfig):
     first, second = np.nonzero(np.triu(
         np.abs(np.multiply.outer(moved, moved.conj()) - 1.0) <= cfg.pair_tol, 1))
     weight = 1 << np.arange(eligible.size)[::-1]
-    index = np.arange(1 << eligible.size)
-    bits = (index[:, None] & weight) != 0
     both = weight[first] | weight[second]
+    free = ((1 << eligible.size) - 1) & ~int(np.bitwise_or.reduce(both, initial=0))
+    pairs = tuple(zip(eligible[first].tolist(), eligible[second].tolist()))
+    return tuple(eligible.tolist()), pairs, both, free
+
+
+@functools.lru_cache(maxsize=1)
+def _selection(zeros: tuple, cfg: ToleranceConfig):
+    """Eligible positions, internal pairs, bits per row, admissible rows, free-set row, table.
+
+    Positions, pairs and the free row are those of `_positions`.  Admissible
+    rows reflect something but no complete internal pair, by popcount, then
+    by descending index: within a popcount, the lexicographic order of
+    position tuples.  One entry serves one zero set.
+    """
+    eligible, pairs, both, free = _positions(zeros, cfg)
+    index = np.arange(1 << len(eligible))
+    bits = (index[:, None] & (1 << np.arange(len(eligible))[::-1])) != 0
     rows = np.flatnonzero((index != 0) & ~((index[:, None] & both) == both).any(axis=1))[::-1]
     rows = rows[np.argsort(bits[rows].sum(axis=1), kind="stable")]
-    free = index[-1] & ~np.bitwise_or.reduce(both, initial=0)
-    table = reflection_table(zeros, eligible[moved != 0].tolist())
+    table = reflection_table(zeros, [p for p in eligible if zeros[p] != 0])
     table.flags.writeable = False
-    pairs = tuple(zip(eligible[first].tolist(), eligible[second].tolist()))
-    return tuple(eligible.tolist()), pairs, bits, rows, int(free), table
+    return eligible, pairs, bits, rows, free, table
 
 
 @dataclass(frozen=True)

@@ -299,14 +299,14 @@ def filter_by_constraints(solutions: SolutionSet, constraints,
     reflected orientation of each class is tried as well.
     """
     wanted = list(constraints)
+    lengths = np.array([cls.values.size for cls in solutions.classes], dtype=np.intp)
     for c in wanted:
         if c.index < 0:
             raise ValueError(f"constraint index {c.index} is negative")
-        if solutions.classes and c.index >= solutions.classes[0].values.size:
+        # checked against the longest class; a shorter class fails the index
+        if lengths.size and c.index >= lengths.max():
             raise ValueError(
-                f"constraint index {c.index} outside the support of length "
-                f"{solutions.classes[0].values.size}")
-    lengths = np.array([cls.values.size for cls in solutions.classes])
+                f"constraint index {c.index} outside the support of length {lengths.max()}")
     keep = np.zeros(lengths.size, dtype=bool)
     for length in np.unique(lengths):
         at = np.flatnonzero(lengths == length)

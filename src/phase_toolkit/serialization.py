@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .counterexamples import CounterexamplePair
-from .criteria import CriterionReport, ROTATION, ROTATION_REFLECTION
+from .criteria import CriterionReport
 from .enumeration import Constraint, SolutionClass, SolutionSet
 from .factorization import ZeroPair, ZeroPairSet
 from .signals import Autocorrelation, CanonicalForm, Signal

@@ -9,7 +9,9 @@ from phase_toolkit import (DEFAULT_CONFIG, Constraint, SolutionClass,
                            SolutionSet, ZeroSelection, autocorrelation,
                            canonicalize, enumerate_solutions,
                            filter_by_constraints, form_distance,
-                           pairs_from_zeros, synthesize)
+                           fourier_intensity, pairs_from_zeros, synthesize)
+from phase_toolkit.counterexamples import _probe_grid
+from phase_toolkit.signals import _wrap_angle
 
 
 def random_signal(rng, n, complex_valued=True):
@@ -312,3 +314,60 @@ def reference_filter(solutions, constraints, cfg=DEFAULT_CONFIG):
             candidates.append(np.conj(cls.canonical.values[::-1]))
         keep.append(any(satisfies(v) for v in candidates))
     return keep
+
+
+def reference_verify(pair, cfg=DEFAULT_CONFIG, probes=None):
+    """`verify_counterexample` decided for one pair on its own.
+
+    Both signals are transformed over their actual support indices and
+    canonicalised separately; unequal support lengths give infinite modulus,
+    phase and canonical gaps.
+    """
+    if probes is None:
+        probes = _probe_grid()
+    intensity_gap = float(np.abs(fourier_intensity(pair.x, probes)
+                                 - fourier_intensity(pair.y, probes)).max())
+    vx, vy = pair.x.values, pair.y.values
+    if vx.size == vy.size:
+        modulus_gap = float(np.abs(np.abs(vx) - np.abs(vy)).max())
+        phase_gap = float(np.abs(_wrap_angle(np.angle(vx) - np.angle(vy))).max())
+    else:
+        modulus_gap = phase_gap = float("inf")
+    canonical_gap = form_distance(
+        canonicalize(pair.x, modulo_reflection=True, cfg=cfg),
+        canonicalize(pair.y, modulo_reflection=True, cfg=cfg))
+    return {
+        "intensity_gap": intensity_gap,
+        "modulus_gap": modulus_gap,
+        "phase_gap": phase_gap,
+        "canonical_gap": canonical_gap,
+    }
+
+
+def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
+    """Reference signal and partners of `phase_counterexample`, class by class.
+
+    The zeros must already be valid negative reals.  The reference signal's
+    own class is the one whose canonical form is nearest to the reference's,
+    by `form_distance`; every other class must be non-negative, checked one
+    by one.  Raises ArithmeticError as `phase_counterexample` does.
+    """
+    items = [complex(z) for z in zeros]
+    reference = synthesize(items, np.prod([abs(z) for z in items]))
+    top_lag = complex(np.conj(reference.values[0]) * reference.values[-1])
+    pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
+    solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
+    reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
+    gaps = [form_distance(cls.canonical, reference_form) for cls in solutions.classes]
+    own = int(np.argmin(gaps))
+    if gaps[own] > cfg.dedupe_tol * float(np.abs(reference.values).max()):
+        raise ArithmeticError("enumeration lost the reference signal's class")
+    partners = []
+    for idx, cls in enumerate(solutions.classes):
+        if idx == own:
+            continue
+        partner = cls.signal()
+        if float(np.abs(np.angle(partner.values)).max()) > cfg.tol(np.pi) * 100.0:
+            raise ArithmeticError("enumerated class is not non-negative")
+        partners.append(partner)
+    return reference, partners

@@ -6,11 +6,11 @@ import pytest
 
 from phase_toolkit import (Signal, autocorrelation, canonicalize,
                            form_distance, fourier_intensity,
-                           magnitude_counterexample)
-from phase_toolkit.cli import main
+                           magnitude_counterexample, phase_counterexample)
+from phase_toolkit.cli import _verification_probes, main
 from phase_toolkit.serialization import dumps, signal_from_dict, signal_to_dict
 
-from helpers import probe_grid
+from helpers import probe_grid, reference_verify
 
 
 def _write_signal(path, values, offset=0):
@@ -291,3 +291,39 @@ def test_counterexample_phase_rejects_complex_zeros(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "bad --zeros list" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "phase", "--zeros=-2,-3,nan"],
+    ["counterexample", "phase", "--zeros=-2,-3,-inf"],
+    ["counterexample", "modulus", "--support", "5", "--repeated-radius", "inf"],
+    ["counterexample", "modulus", "--support", "5", "--split-radius", "nan"],
+], ids=["phase-nan", "phase-inf", "modulus-inf", "modulus-nan"])
+def test_counterexample_rejects_non_finite_arguments(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("zeros, seed", [
+    ([-2.0, -3.0, -0.4, -5.0, -0.25], 11),
+    ([-2.0, -3.0, -0.4], None),
+])
+def test_counterexample_reports_every_pair(capsys, zeros, seed):
+    argv = ["counterexample", "phase", "--zeros=" + ",".join(map(str, zeros))]
+    rc = main(argv + ([] if seed is None else ["--seed", str(seed)]))
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 0
+    pairs = phase_counterexample(zeros)
+    assert len(lines) == len(pairs)
+    peak = float(np.abs(pairs[0].x.values).max())
+    for idx, (line, pair) in enumerate(zip(lines, pairs)):
+        want = reference_verify(pair, probes=_verification_probes(seed))
+        label, fields = line.split(": ", 1)
+        got = dict(field.rsplit(" ", 1) for field in fields.split(", "))
+        assert label == f"pair {idx}"
+        assert list(got) == ["intensity gap", "modulus gap", "phase gap", "canonical gap"]
+        assert abs(float(got.pop("intensity gap")) - want["intensity_gap"]) <= 1e-12 * peak ** 2
+        assert got == {key: f"{want[key.replace(' ', '_')]:.3e}" for key in got}

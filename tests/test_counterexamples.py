@@ -1,11 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
-from phase_toolkit import (CounterexamplePair, Signal, canonicalize,
-                           form_distance, magnitude_counterexample,
-                           phase_counterexample, verify_counterexample)
+from phase_toolkit import (DEFAULT_CONFIG, CounterexamplePair, Signal,
+                           canonicalize, enumerate_solutions, form_distance,
+                           magnitude_counterexample, pairs_from_zeros,
+                           phase_counterexample, synthesize,
+                           verify_counterexample)
+from phase_toolkit.counterexamples import _probe_grid, _verify_family
 
-from helpers import probe_grid
+from helpers import (probe_grid, reference_phase_partners, reference_verify,
+                     random_signal)
+
+# trimmed zero sets: tiny zeros whose products fall below the trim level
+TRIMMED_ZERO_SETS = ([-1e-7, -1e-7, -2.0], [-1e-9, -1e-9, -3.0, -2.0],
+                     [-1e-7, -1e-7, -2.0, -5.0], [-1e-7, -2.0, -3.0],
+                     [-1e-5, -1e-5, -2.0])
 
 
 def test_magnitude_pair_smallest_case():
@@ -43,6 +54,9 @@ def test_magnitude_pair_parameter_domain():
         magnitude_counterexample(4, 1.0, 2.0)
     with pytest.raises(ValueError, match="exceed 1"):
         magnitude_counterexample(4, 2.0, 0.5)
+    for radii in ((2.0, np.inf), (np.nan, 2.0), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            magnitude_counterexample(5, *radii)
 
 
 def test_phase_pair_two_real_zeros():
@@ -100,6 +114,9 @@ def test_phase_pair_rejects_bad_zero_sets():
         phase_counterexample([-2.0 + 1.0j, -3.0])
     with pytest.raises(ValueError, match="no nontrivial ambiguity"):
         phase_counterexample([-2.0, -1.0])
+    for bad in (np.nan, -np.inf, complex(-2.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            phase_counterexample([-2.0, -3.0, bad])
 
 
 def test_phase_pair_support_len_must_match():
@@ -140,3 +157,83 @@ def test_verify_counterexample_wraps_phase_gap():
     assert report["phase_gap"] == 0.0
     pair = magnitude_counterexample(4, 2.0, 3.0)
     assert 2.70 < verify_counterexample(pair)["phase_gap"] <= np.pi
+
+
+def _assert_family_matches_reference(x, partners, probes):
+    """Row kernel against one `reference_verify` per pair: three gaps exact,
+    the intensity gap within 1e-12 peak^2, peak the larger modulus in x and y.
+
+    For a pair that shares its intensity the gap measures rounding; for one
+    that does not (trimmed zero sets), its rounding scales with the larger peak.
+    """
+    gaps = _verify_family(x, partners, DEFAULT_CONFIG, probes)
+    assert all(gap.shape == (len(partners),) for gap in gaps.values())
+    for i, y in enumerate(partners):
+        peak = float(max(np.abs(x.values).max(), np.abs(y.values).max()))
+        want = reference_verify(CounterexamplePair(x, y, False, False), DEFAULT_CONFIG, probes)
+        assert list(gaps) == list(want)
+        for key in ("modulus_gap", "phase_gap", "canonical_gap"):
+            assert gaps[key][i] == want[key], (key, x.values, y.values)
+        assert abs(gaps["intensity_gap"][i] - want["intensity_gap"]) <= 1e-12 * peak ** 2
+    return len(partners)
+
+
+def test_verify_family_matches_per_pair_reference():
+    rng = np.random.default_rng(1404)
+    extra = np.concatenate([_probe_grid(), rng.uniform(-np.pi, np.pi, 32)])
+    pairs_checked = 0
+    for n in range(3, 11):
+        for _ in range(2):
+            family = phase_counterexample(-np.exp(rng.uniform(-1.5, 1.5, size=n - 1)))
+            for probes in (_probe_grid(), extra):
+                pairs_checked += _assert_family_matches_reference(
+                    family[0].x, [p.y for p in family], probes)
+    for n in range(4, 10):
+        pair = magnitude_counterexample(n, *rng.uniform(1.1, 4.0, size=2))
+        for probes in (None, extra):
+            got, want = verify_counterexample(pair, probes=probes), reference_verify(pair, probes=probes)
+            assert {k: got[k] for k in want if k != "intensity_gap"} == \
+                {k: want[k] for k in want if k != "intensity_gap"}
+            peak = float(np.abs(pair.x.values).max())
+            assert abs(got["intensity_gap"] - want["intensity_gap"]) <= 1e-12 * peak ** 2
+    # supports of unequal length and offset
+    x = Signal(3, random_signal(rng, 5))
+    partners = [Signal(offset, random_signal(rng, size))
+                for offset, size in ((-2, 4), (7, 5), (0, 6), (3, 5))]
+    pairs_checked += _assert_family_matches_reference(x, partners, extra)
+    # no partner of x's length: nothing is canonicalised
+    pairs_checked += _assert_family_matches_reference(x, partners[:1], extra)
+    # trimmed zero sets: the classes come in two support lengths
+    lengths = set()
+    for zeros in TRIMMED_ZERO_SETS:
+        x = synthesize(zeros, np.prod(np.abs(zeros)))
+        top_lag = complex(np.conj(x.values[0]) * x.values[-1])
+        classes = enumerate_solutions(pairs_from_zeros(zeros, leading=top_lag),
+                                      modulo_reflection=True).classes
+        partners = [cls.signal() for cls in classes]
+        lengths |= {y.support_len - x.support_len for y in partners}
+        pairs_checked += _assert_family_matches_reference(x, partners, extra)
+    assert lengths >= {0, 1}
+    assert pairs_checked > 1000
+
+
+def test_phase_counterexample_matches_per_class_reference():
+    rng = np.random.default_rng(1405)
+    zero_sets = [-np.exp(rng.uniform(-1.5, 1.5, size=n - 1)) for n in range(3, 11) for _ in range(3)]
+    zero_sets += [[-2.0, -0.5], [-2.0, -2.0, -3.0], [-0.5, -0.5, -2.0, -4.0]]
+    errors = 0
+    for zeros in zero_sets + list(TRIMMED_ZERO_SETS):
+        try:
+            x, partners = reference_phase_partners(zeros)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                phase_counterexample(zeros)
+            errors += 1
+            continue
+        got = phase_counterexample(zeros)
+        assert len(got) == len(partners), zeros
+        for pair, y in zip(got, partners):
+            assert pair.x.offset == x.offset and pair.x.values.tobytes() == x.values.tobytes()
+            assert pair.y.offset == y.offset and pair.y.values.tobytes() == y.values.tobytes()
+            assert pair.shared_phases and not pair.shared_moduli
+    assert errors == 3

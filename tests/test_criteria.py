@@ -12,6 +12,7 @@ from phase_toolkit import (ROTATION, ROTATION_REFLECTION, SubsetFamily,
                            elementary_symmetric, elementary_symmetric_all,
                            magnitude_counterexample, modified_zero_set,
                            synthesize)
+from phase_toolkit import criteria
 from phase_toolkit.criteria import reflection_table
 
 from helpers import (ReferenceCriteria, classes_matching_constraints,
@@ -434,6 +435,24 @@ def test_subset_family_masks_match_reference_filter():
             assert family.eligible_positions() == tuple(reference.eligible), zeros
             assert family.internal_pairs() == tuple(reference.pairs), zeros
             assert family.free_positions() == tuple(sorted(reference.free)), zeros
+
+
+def test_subset_family_positions_build_no_reflection_table(monkeypatch):
+    # 16 off-circle zeros, one internal pair (0, 16), one on-circle zero
+    base = random_zero_set(np.random.default_rng(1616), 15)
+    zeros = base + [np.exp(0.4j), 1.0 / np.conj(base[0])]
+    reference = ReferenceCriteria(zeros)
+    assert len(reference.eligible) == 16 and reference.pairs == [(0, 16)]
+    calls = []
+    table = criteria.reflection_table
+    monkeypatch.setattr(criteria, "reflection_table",
+                        lambda *args: calls.append(args) or table(*args))
+    criteria._selection.cache_clear()
+    family = SubsetFamily(zeros)
+    assert family.eligible_positions() == tuple(reference.eligible)
+    assert family.internal_pairs() == tuple(reference.pairs)
+    assert family.free_positions() == tuple(sorted(reference.free))
+    assert calls == []
 
 
 def test_origin_zero_reflected_only_when_admissible():

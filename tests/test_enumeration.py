@@ -224,8 +224,8 @@ def test_filter_by_constraints_matches_reference_filter():
     for pairs in _constraint_sweep_pairs(rng):
         for modulo_reflection in (False, True):
             classes = enumerate_solutions(pairs, modulo_reflection).classes
-            # the first class sets the admitted indices; when it is not the
-            # shortest, an index can lie past the end of a later class
+            # the indices stay below the first class's length; when it is not
+            # the shortest, an index can lie past the end of a later class
             for ordered in (classes, classes[1:] + classes[:1]):
                 sols = SolutionSet(ordered, len(ordered), modulo_reflection)
                 size = ordered[0].values.size
@@ -255,6 +255,25 @@ def test_filter_by_constraints_matches_reference_filter():
                             peak = np.abs(cls.values).max()
                             at_rounding += abs(cls.values[c.index]) <= 1e-9 * (1 + peak)
     assert filters > 500 and mixed > 200 and at_rounding > 20 and past_end > 20
+
+
+def test_filter_checks_indices_against_the_longest_class():
+    # trimmed supports: the first class has length 4, some later ones length 5
+    pairs = pairs_from_zeros([1e-7, 1e-7, 2j, -1.5], leading=1.0)
+    for modulo_reflection in (False, True):
+        sols = enumerate_solutions(pairs, modulo_reflection)
+        lengths = [cls.values.size for cls in sols.classes]
+        assert lengths[0] == 4 and max(lengths) == 5
+        longer = next(cls.values for cls in sols.classes if cls.values.size == 5)
+        for cons in ([Constraint("magnitude", 4, abs(longer[4]))],
+                     [Constraint("phase", 4, cmath.phase(longer[4]))]):
+            got = filter_by_constraints(sols, cons)
+            keep = reference_filter(sols, cons)
+            assert [id(c) for c in got.classes] == \
+                [id(c) for c, k in zip(sols.classes, keep) if k]
+            assert 0 < len(got) < len(sols)
+        with pytest.raises(ValueError, match="index 5 outside the support of length 5"):
+            filter_by_constraints(sols, [Constraint("magnitude", 5, 1.0)])
 
 
 def test_recover_round_trip():
