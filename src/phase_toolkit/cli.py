@@ -31,8 +31,7 @@ from .criteria import (check_all_moduli_uniqueness, check_magnitude_uniqueness,
                        check_phase_uniqueness_endpoint,
                        check_phase_uniqueness_two_points)
 from .enumeration import enumerate_solutions, recover
-from .factorization import (associated_polynomial, cluster_roots, find_roots,
-                            pair_roots)
+from .factorization import cluster_roots, pairs_from_zeros
 from .signals import acf_from_intensity_samples, autocorrelation
 
 EXIT_OK = 0
@@ -83,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     recover_cmd = sub.add_parser("recover", parents=[common],
                                  help="filter the solution classes by constraints")
-    recover_cmd.add_argument("intensity_file",
+    recover_cmd.add_argument("input_file", metavar="intensity_file",
                              help="signal, autocorrelation or samples JSON (- for stdin)")
     recover_cmd.add_argument("constraints_file",
                              help="JSON list of constraints (- for stdin)")
@@ -184,15 +183,13 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     signal = ser.signal_from_dict(_read_json(args.signal_file))
     n = signal.support_len
     acf = autocorrelation(signal)
-    poly = associated_polynomial(acf, cfg)
-    roots = find_roots(poly, cfg)
-    pairs = pair_roots(roots, cfg, leading=poly.leading)
-    classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
-    classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
-
+    # the signal's own N-1 zeros fix the pairs; P's 2N-2 roots are not needed
     zeros = []
     for root, mult in cluster_roots(signal.values, cfg):
         zeros.extend([root] * mult)
+    pairs = pairs_from_zeros(zeros, leading=acf[n - 1], cfg=cfg)
+    classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
+    classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 
     verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": []}
     for offset in range(n):
@@ -249,27 +246,17 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args, cfg: ToleranceConfig) -> int:
-    acf = _load_acf(_read_json(args.input_file), cfg)
-    poly = associated_polynomial(acf, cfg)
-    pairs = pair_roots(find_roots(poly, cfg), cfg, leading=poly.leading)
-    solutions = enumerate_solutions(pairs, modulo_reflection=args.modulo_reflection,
-                                    cfg=cfg)
-    _write_result(_solution_text(solutions, args), args)
-    return EXIT_OK
-
-
 def _cmd_recover(args, cfg: ToleranceConfig) -> int:
-    acf = _load_acf(_read_json(args.intensity_file), cfg)
-    constraints = ser.constraints_from_list(_read_json(args.constraints_file))
+    """`recover`; `enumerate` is the same pipeline without constraints or verdict codes."""
+    acf = _load_acf(_read_json(args.input_file), cfg)
+    constraints = (() if args.command == "enumerate"
+                   else ser.constraints_from_list(_read_json(args.constraints_file)))
     solutions = recover(acf, constraints, cfg,
                         modulo_reflection=args.modulo_reflection)
     _write_result(_solution_text(solutions, args), args)
-    if len(solutions) == 0:
-        return EXIT_INCONSISTENT
-    if len(solutions) > 1:
-        return EXIT_AMBIGUOUS
-    return EXIT_OK
+    if args.command == "enumerate" or len(solutions) == 1:
+        return EXIT_OK
+    return EXIT_INCONSISTENT if len(solutions) == 0 else EXIT_AMBIGUOUS
 
 
 def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
@@ -308,9 +295,7 @@ def main(argv=None) -> int:
         cfg = _config_from(args)
         if args.command == "analyze":
             return _cmd_analyze(args, cfg)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, cfg)
-        if args.command == "recover":
+        if args.command in ("enumerate", "recover"):
             return _cmd_recover(args, cfg)
         return _cmd_counterexample(args, cfg)
     except CliError as exc:

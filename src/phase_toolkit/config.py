@@ -16,8 +16,6 @@ class ToleranceConfig:
     """Tolerance knobs used across the pipeline.
 
     atol, rtol        general closeness band
-    trim_threshold    boundary components below this (relative to the peak
-                      modulus) are trimmed from a signal's support
     circle_tol        radial band inside which a zero is snapped onto the
                       unit circle
     cluster_radius    base gathering radius for root multiplicity detection
@@ -27,11 +25,14 @@ class ToleranceConfig:
     criterion_tol     equality band for the uniqueness criteria
     dedupe_tol        canonical-form distance below which two enumerated
                       solutions are merged into one class
+    max_newton_iter   iteration cap of every Newton polish in root finding
+
+    Support trimming is not a knob: `signals` trims boundary entries below a
+    fixed 1e-12 times the peak modulus, for signals and enumerated rows alike.
     """
 
     atol: float = 1e-9
     rtol: float = 1e-9
-    trim_threshold: float = 1e-12
     circle_tol: float = 1e-8
     cluster_radius: float = 1e-7
     residual_tol: float = 1e-6

@@ -145,8 +145,9 @@ def phase_counterexample(zeros, support_len: int | None = None,
     if len(off_circle) < 2:
         raise ValueError("no nontrivial ambiguity exists")
 
-    reference = synthesize(items, np.prod([abs(z) for z in items]))
-    top_lag = complex(np.conj(reference.values[0]) * reference.values[-1])
+    # the top lag a[N-1] of the reference, which trimming its values can lose
+    top_lag = np.prod([abs(z) for z in items])
+    reference = synthesize(items, top_lag)
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
     solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 

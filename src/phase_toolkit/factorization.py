@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .signals import Autocorrelation, _as_complex_vector, _readonly
+from .signals import _TRIM_THRESHOLD, Autocorrelation, _as_complex_vector, _readonly
 
 _EPS = float(np.finfo(float).eps)
 
@@ -43,7 +43,7 @@ class AssociatedPolynomial:
         if arr.size % 2 == 0:
             raise ValueError("associated polynomial needs odd coefficient count")
         scale = float(np.abs(arr).max())
-        if scale == 0.0 or abs(arr[-1]) <= DEFAULT_CONFIG.trim_threshold * scale:
+        if scale == 0.0 or abs(arr[-1]) <= _TRIM_THRESHOLD * scale:
             raise ValueError("degenerate leading coefficient; trim support first")
         band = DEFAULT_CONFIG.tol(scale)
         if float(np.abs(arr - np.conj(arr[::-1])).max()) > band:
@@ -77,19 +77,21 @@ def _evaluation_bound(desc_abs: np.ndarray, magnitude):
     return np.maximum(np.polyval(desc_abs, magnitude), desc_abs.max())
 
 
-def _newton(desc: np.ndarray, deriv: np.ndarray, desc_abs: np.ndarray, starts,
-            max_iter: int):
+def _newton(desc: np.ndarray, deriv: np.ndarray, starts, max_iter: int,
+            desc_abs: np.ndarray | None = None):
     """Newton iteration from every start at once; returns (points, converged).
 
-    An iterate stops once its step is at most 4 eps |z| or no larger than
-    the evaluation noise eps * B(|z|) / |P'(z)|: below that floor the step
-    is rounding noise, and without this rule iterates near clustered or
-    near-circle zeros wander until max_iter.  B is taken at the start,
-    which Newton's method leaves only by a tiny step on the iterates that
-    converge.
+    An iterate stops once its step is at most 4 eps |z|, or where its slope
+    vanishes (unconverged).  Given the coefficient moduli `desc_abs`, it
+    also stops once the step is no larger than the evaluation noise
+    eps * B(|z|) / |P'(z)|: below that floor the step is rounding noise, and
+    without this rule iterates near clustered or near-circle zeros wander
+    until max_iter.  B is taken at the start, which Newton's method leaves
+    only by a tiny step on the iterates that converge.
     """
     z = np.array(starts, dtype=complex)
-    noise = _EPS * _evaluation_bound(desc_abs, np.abs(z))
+    noise = (np.zeros(z.shape) if desc_abs is None
+             else _EPS * _evaluation_bound(desc_abs, np.abs(z)))
     converged = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
     for _ in range(max_iter):
@@ -109,25 +111,6 @@ def _newton(desc: np.ndarray, deriv: np.ndarray, desc_abs: np.ndarray, starts,
         converged[active[done]] = True
         active = active[moving & ~done & np.isfinite(w)]
     return z, converged
-
-
-def _polish(desc: np.ndarray, deriv: np.ndarray, start: complex, max_iter: int) -> complex:
-    """Newton iteration on the given (descending) coefficients and their derivative.
-
-    The top-down clustering keeps this plain step rule: with the noise floor
-    of `_newton` its verdicts on repeated and clustered zeros shift between
-    wrong pairs and typed errors.
-    """
-    z = complex(start)
-    for _ in range(max_iter):
-        slope = np.polyval(deriv, z)
-        if slope == 0:
-            break
-        step = np.polyval(desc, z) / slope
-        z -= step
-        if abs(step) <= 4.0 * _EPS * max(1.0, abs(z)):
-            break
-    return z
 
 
 def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int,
@@ -190,8 +173,8 @@ def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives,
     """
     radius = _gather_radius(2, cfg)
     candidates = np.flatnonzero(_isolated(eigenvalues, radius))
-    roots, converged = _newton(derivatives[0], derivatives[1], abs_derivatives[0],
-                               eigenvalues[candidates], cfg.max_newton_iter)
+    roots, converged = _newton(derivatives[0], derivatives[1], eigenvalues[candidates],
+                               cfg.max_newton_iter, abs_derivatives[0])
     candidates, roots = candidates[converged], roots[converged]
     mag = np.abs(roots)
     error = _EPS * _evaluation_bound(abs_derivatives[0], mag)
@@ -209,40 +192,39 @@ def _cluster_top_down(leftover, derivatives, abs_derivatives, cfg: ToleranceConf
                       found: list) -> None:
     """Place the leftover eigenvalues as (root, multiplicity) pairs appended to `found`.
 
-    For each candidate multiplicity m, from the number of leftovers down to
-    1, the nearby leftovers are averaged and the mean is polished with
-    Newton's method on the (m-1)-th derivative, which has a simple zero at
-    an m-fold root.  A cluster is accepted only if the value of P and its
-    first m-1 derivatives at the polished point are at rounding level while
-    the m-th derivative is decisively nonzero.
+    The leftovers are kept in (real, imag) order.  For each candidate
+    multiplicity m, from the number of leftovers down to 1, every leftover
+    whose m nearest leftovers (itself included, ties in leftover order) lie
+    within `_gather_radius(m)` seeds a group of them.  The group means are
+    polished together by Newton's method on the (m-1)-th derivative, which
+    has a simple zero at an m-fold root.  The plain step rule is kept: with
+    the noise floor, verdicts on repeated and clustered zeros shift between
+    wrong pairs and typed errors.  A group passes when P and its first m-1
+    derivatives are at rounding level at the polished point while the m-th
+    derivative is decisively nonzero.  The first passing group in leftover
+    order is placed, and the search restarts on the rest.
     """
-    remaining = sorted(leftover, key=lambda z: (z.real, z.imag))
-    while remaining:
-        placed = False
-        for mult in range(len(remaining), 0, -1):
-            radius = _gather_radius(mult, cfg)
-            for seed in remaining:
-                span = radius * max(1.0, abs(seed))
-                near = [w for w in remaining if abs(w - seed) <= span]
-                if len(near) < mult:
-                    continue
-                near.sort(key=lambda w: abs(w - seed))
-                group = near[:mult]
-                center = complex(np.mean(group))
-                root = _polish(derivatives[mult - 1], derivatives[mult], center,
-                               cfg.max_newton_iter)
-                if not np.isfinite(root.real) or not np.isfinite(root.imag):
-                    continue
-                if not _multiplicity_consistent(derivatives, abs_derivatives, root, mult, cfg):
-                    continue
-                found.append((root, mult))
-                for w in group:
-                    remaining.remove(w)
-                placed = True
+    remaining = leftover[np.lexsort((leftover.imag, leftover.real))]
+    while remaining.size:
+        gaps = np.abs(remaining[None, :] - remaining[:, None])
+        nearest = np.argsort(gaps, axis=1, kind="stable")
+        scale = np.maximum(1.0, np.abs(remaining))
+        for mult in range(remaining.size, 0, -1):
+            seeds = np.flatnonzero(gaps[np.arange(remaining.size), nearest[:, mult - 1]]
+                                   <= _gather_radius(mult, cfg) * scale)
+            groups = nearest[seeds, :mult]
+            # polishing from a poor group mean may overflow; such roots are not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                roots, _ = _newton(derivatives[mult - 1], derivatives[mult],
+                                   remaining[groups].mean(axis=1), cfg.max_newton_iter)
+            passing = np.flatnonzero(np.isfinite(roots))
+            passing = passing[_multiplicity_consistent(derivatives, abs_derivatives,
+                                                       roots[passing], mult, cfg)]
+            if passing.size:
+                found.append((complex(roots[passing[0]]), mult))
+                remaining = np.delete(remaining, groups[passing[0]])
                 break
-            if placed:
-                break
-        if not placed:
+        else:
             raise RootFindingError(
                 "root polishing did not converge to a certified multiplicity split",
                 partial=found)
@@ -404,7 +386,9 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
     """Zero pairs generated by an explicit zero multiset of one signal.
 
     Each given zero contributes one selection slot; zeros that are mutual
-    reflections (or repeats) accumulate multiplicity in a single pair.
+    reflections (or repeats) accumulate multiplicity in a single pair.  An
+    on-circle zero is a double root of the associated polynomial, so
+    `snapped` counts two per on-circle zero, as `pair_roots` does.
     """
     groups = []
     for raw in zeros:
@@ -429,4 +413,5 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
     pairs = [ZeroPair(rep, rep if circled else 1.0 / rep.conjugate(), circled, mult)
              for rep, mult, circled in groups]
     pairs.sort(key=lambda p: _sort_key(p.zero))
-    return ZeroPairSet(tuple(pairs), complex(leading), 0)
+    snapped = 2 * sum(mult for _, mult, circled in groups if circled)
+    return ZeroPairSet(tuple(pairs), complex(leading), snapped)

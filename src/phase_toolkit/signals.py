@@ -14,6 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 
+_TRIM_THRESHOLD = 1e-12
+"""Boundary entries below this times the peak modulus are trimmed from a support."""
+
 
 def _as_complex_vector(values) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.complex128))
@@ -167,11 +170,11 @@ def _support_bounds(rows: np.ndarray):
     """Kept support of each row of a (K, L) array, trimmed as `Signal` trims.
 
     Returns (live, first, last): whether a row has any entry above
-    trim_threshold times its peak modulus, and the first and last such index.
+    `_TRIM_THRESHOLD` times its peak modulus, and the first and last such index.
     `Signal` trims its one row with it.
     """
     mags = np.abs(rows)
-    keep = mags > DEFAULT_CONFIG.trim_threshold * mags.max(axis=1, keepdims=True)
+    keep = mags > _TRIM_THRESHOLD * mags.max(axis=1, keepdims=True)
     last = rows.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
     return keep.any(axis=1), keep.argmax(axis=1), last
 

@@ -11,6 +11,8 @@ from phase_toolkit import (DEFAULT_CONFIG, Constraint, SolutionClass,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, synthesize)
 from phase_toolkit.counterexamples import _probe_grid
+from phase_toolkit.factorization import (_EPS, RootFindingError, _gather_radius,
+                                         _multiplicity_consistent)
 from phase_toolkit.signals import _wrap_angle
 
 
@@ -353,8 +355,8 @@ def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
     by one.  Raises ArithmeticError as `phase_counterexample` does.
     """
     items = [complex(z) for z in zeros]
-    reference = synthesize(items, np.prod([abs(z) for z in items]))
-    top_lag = complex(np.conj(reference.values[0]) * reference.values[-1])
+    top_lag = np.prod([abs(z) for z in items])
+    reference = synthesize(items, top_lag)
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
     solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
     reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
@@ -371,3 +373,59 @@ def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
             raise ArithmeticError("enumerated class is not non-negative")
         partners.append(partner)
     return reference, partners
+
+
+def reference_polish(desc, deriv, start, max_iter):
+    """Scalar Newton iteration with the plain step rule: stop once the step is
+    at most 4 eps max(1, |z|), or where the slope vanishes."""
+    z = complex(start)
+    for _ in range(max_iter):
+        slope = np.polyval(deriv, z)
+        if slope == 0:
+            break
+        step = np.polyval(desc, z) / slope
+        z -= step
+        if abs(step) <= 4.0 * _EPS * max(1.0, abs(z)):
+            break
+    return z
+
+
+def reference_cluster_top_down(leftover, derivatives, abs_derivatives, cfg, found):
+    """`factorization._cluster_top_down` decided seed by seed.
+
+    For each multiplicity m from the number of remaining leftovers down to 1,
+    each leftover in (real, imag) order gathers the leftovers within
+    `_gather_radius(m)`, sorts them stably by distance and, given at least m,
+    polishes the mean of the nearest m on the (m-1)-th derivative.  The first
+    finite, multiplicity-consistent root is appended to `found` and its group
+    removed; RootFindingError when no multiplicity places any group.
+    """
+    remaining = sorted(leftover, key=lambda z: (z.real, z.imag))
+    while remaining:
+        placed = False
+        for mult in range(len(remaining), 0, -1):
+            radius = _gather_radius(mult, cfg)
+            for seed in remaining:
+                span = radius * max(1.0, abs(seed))
+                near = [w for w in remaining if abs(w - seed) <= span]
+                if len(near) < mult:
+                    continue
+                near.sort(key=lambda w: abs(w - seed))
+                group = near[:mult]
+                root = reference_polish(derivatives[mult - 1], derivatives[mult],
+                                        complex(np.mean(group)), cfg.max_newton_iter)
+                if not np.isfinite(root.real) or not np.isfinite(root.imag):
+                    continue
+                if not _multiplicity_consistent(derivatives, abs_derivatives, root, mult, cfg):
+                    continue
+                found.append((root, mult))
+                for w in group:
+                    remaining.remove(w)
+                placed = True
+                break
+            if placed:
+                break
+        if not placed:
+            raise RootFindingError(
+                "root polishing did not converge to a certified multiplicity split",
+                partial=found)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from phase_toolkit import (Signal, autocorrelation, canonicalize,
-                           form_distance, fourier_intensity,
-                           magnitude_counterexample, phase_counterexample)
+                           enumerate_solutions, form_distance, fourier_intensity,
+                           magnitude_counterexample, pairs_from_zeros,
+                           phase_counterexample, synthesize)
 from phase_toolkit.cli import _verification_probes, main
 from phase_toolkit.serialization import dumps, signal_from_dict, signal_to_dict
 
@@ -67,6 +68,42 @@ def test_analyze_out_document(tmp_path, capsys):
     assert {"autocorrelation", "zero_pairs", "class_count",
             "class_count_modulo_reflection", "criteria"} <= set(doc)
     assert all("gamma" in p for p in doc["zero_pairs"]["pairs"])
+
+
+def _generating_zeros(rng, kind):
+    """Four signal zeros whose associated polynomial has double roots."""
+    def outside():
+        return complex(rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(-3.0, 3.0)))
+
+    if kind == "three_on_circle":
+        return [complex(np.exp(1j * a)) for a in rng.uniform(-np.pi, np.pi, 3)] + [outside()]
+    if kind == "double_off_circle":
+        z = outside()
+        return [z, z, outside(), outside()]
+    z = outside()
+    return [z, 1.0 / z.conjugate(), outside(), outside()]
+
+
+@pytest.mark.parametrize("kind", ["three_on_circle", "double_off_circle",
+                                  "internal_reflected_pair"])
+def test_analyze_pairs_the_signal_zeros(tmp_path, capsys, kind):
+    # the pairs come from the signal's own zeros, so the double roots that
+    # these zeros give the associated polynomial never need to be resolved
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        zeros = _generating_zeros(rng, kind)
+        x = synthesize(zeros, 1.0)
+        out_path = tmp_path / "report.json"
+        rc = main(["analyze", _write_signal(tmp_path / "s.json", x.values),
+                   "--out", str(out_path)])
+        capsys.readouterr()
+        assert rc == 0, zeros
+        doc = json.loads(out_path.read_text())
+        pairs = pairs_from_zeros(zeros, leading=np.conj(x.values[0]) * x.values[-1])
+        assert doc["class_count"] == len(enumerate_solutions(pairs))
+        assert doc["class_count_modulo_reflection"] == len(
+            enumerate_solutions(pairs, modulo_reflection=True))
+        assert doc["zero_pairs"].get("snapped", 0) == pairs.snapped
 
 
 def test_enumerate_constant_intensity(tmp_path, capsys):

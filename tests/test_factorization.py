@@ -7,7 +7,7 @@ from phase_toolkit import (DEFAULT_CONFIG, AssociatedPolynomial, RootFindingErro
                            cluster_roots, find_roots, pair_roots,
                            pairs_from_zeros, synthesize)
 
-from helpers import random_signal, random_zero_set
+from helpers import random_signal, random_zero_set, reference_cluster_top_down
 
 
 def _poly_of(values):
@@ -199,6 +199,78 @@ def test_find_roots_matches_mpmath_near_circle(gap, no_top_down):
     assert abs(closest.zero - near) < 1e-6
 
 
+_HARD_KINDS = ("on_circle", "repeated", "doubled", "clustered", "negative_real")
+
+
+def _hard_zeros(rng, kind, n):
+    """N-1 signal zeros of one geometry that leaves eigenvalues to the fallback."""
+    def outside(count):
+        return list(rng.uniform(1.15, 3.0, count) * np.exp(1j * rng.uniform(-np.pi, np.pi, count)))
+
+    if kind == "on_circle":
+        return list(np.exp(1j * rng.uniform(-np.pi, np.pi, 2))) + outside(n - 3)
+    if kind == "repeated":
+        r, s = rng.uniform(1.5, 3.0, 2)
+        return [r, -1.0 / r] + [1j * s] * (n - 3)
+    if kind == "doubled":
+        return 2 * outside(1) + outside(n - 3)
+    if kind == "clustered":
+        centre = 1.4 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        mirrored = outside(1)[0]
+        return ([centre + 0.05 * np.exp(2j * np.pi * k / 3) for k in range(3)]
+                + [mirrored, 1.0 / np.conj(mirrored)] + outside(n - 6))
+    return list(-np.exp(rng.uniform(-1.2, 1.2, n - 1)))
+
+
+def _top_down_outcome(top_down, leftover, derivatives, abs_derivatives):
+    """The placed (root bytes, multiplicity) list in placing order, or the error and its partial."""
+    found = []
+    try:
+        top_down(leftover, derivatives, abs_derivatives, DEFAULT_CONFIG, found)
+    except RootFindingError as exc:
+        return "raised", str(exc), [(complex(z).real.hex(), complex(z).imag.hex(), m)
+                                    for z, m in exc.partial]
+    return "placed", [(complex(z).real.hex(), complex(z).imag.hex(), m) for z, m in found]
+
+
+@pytest.mark.parametrize("kind", _HARD_KINDS)
+def test_cluster_top_down_matches_seed_by_seed_reference(kind):
+    # eigenvalues rejected by the simple-root pass, of the signal polynomial
+    # and of its associated polynomial: every group is placed as the scalar
+    # seed-by-seed search places it, in the same order and to the last bit
+    rng = np.random.default_rng(_HARD_KINDS.index(kind) + 1500)
+    outcomes = []
+    for n in range(4 if kind != "clustered" else 6, 15):
+        for _ in range(2):
+            signal = synthesize(_hard_zeros(rng, kind, n), 1.0)
+            for coeffs in (signal.values, autocorrelation(signal).coeffs):
+                desc = np.asarray(coeffs)[::-1]
+                eigenvalues = np.roots(desc)
+                _, certified = factorization._certify_simple(
+                    eigenvalues, *factorization._derivatives(desc, 1), DEFAULT_CONFIG)
+                leftover = eigenvalues[~certified]
+                if leftover.size == 0:
+                    continue
+                derivatives = factorization._derivatives(desc, leftover.size)
+                got = _top_down_outcome(factorization._cluster_top_down, leftover, *derivatives)
+                want = _top_down_outcome(reference_cluster_top_down, leftover, *derivatives)
+                assert got == want, (kind, n)
+                outcomes.append(got[0])
+    assert len(outcomes) >= 10 and set(outcomes) == {"placed", "raised"}
+
+
+def test_cluster_top_down_breaks_distance_ties_in_leftover_order():
+    # exact ties in distance on a lattice: a group must take its tied members
+    # in leftover order, or its mean, and so the placed roots, change bits
+    base, step = 1.2345678901234567, 2.0 ** -18
+    leftover = base + step * np.array([1j, -1 - 2j, -2 + 2j, -1 - 1j, -2 + 3j, 3j])
+    desc = np.poly([base + step * 1j] * 2 + [base + step * (-2 + 2j)])
+    derivatives = factorization._derivatives(desc, leftover.size)
+    got = _top_down_outcome(factorization._cluster_top_down, leftover, *derivatives)
+    assert got == _top_down_outcome(reference_cluster_top_down, leftover, *derivatives)
+    assert got[0] == "placed" and len(got[1]) == 2
+
+
 def test_cluster_roots_zero_polynomial():
     with pytest.raises(ValueError):
         cluster_roots([0.0, 0.0])
@@ -239,6 +311,15 @@ def test_pair_roots_snaps_circle_zeros():
     assert p.multiplicity == 1
     assert abs(abs(p.zero) - 1.0) == 0.0
     assert pairs.snapped == 2
+
+
+def test_pairs_from_zeros_counts_snapped_roots_as_pair_roots_does():
+    # an on-circle signal zero is a double root of the associated polynomial
+    assert pairs_from_zeros([1j, 1j]).snapped == 4
+    assert pairs_from_zeros([1j, 2.0]).snapped == 2
+    assert pairs_from_zeros([-2.0, 0.5]).snapped == 0
+    poly = _poly_of(synthesize([1j, 2.0], 1.0).values)
+    assert pair_roots(find_roots(poly), leading=poly.leading).snapped == 2
 
 
 def test_pair_roots_rejects_odd_circle_multiplicity():
