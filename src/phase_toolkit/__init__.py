@@ -16,7 +16,7 @@ from .criteria import (ROTATION, ROTATION_REFLECTION, CriterionReport,
                        check_phase_uniqueness_endpoint,
                        check_phase_uniqueness_two_points, elementary_symmetric,
                        elementary_symmetric_all, modified_zero_set)
-from .enumeration import (Constraint, SolutionClass, SolutionSet, ZeroSelection,
+from .enumeration import (Constraint, SolutionClass, SolutionSet,
                           enumerate_solutions, filter_by_constraints, recover,
                           synthesize)
 from .factorization import (AssociatedPolynomial, RootFindingError, ZeroPair,
@@ -34,7 +34,7 @@ __all__ = [
     "CounterexamplePair", "CriterionReport", "DEFAULT_CONFIG", "ROTATION",
     "ROTATION_REFLECTION", "RootFindingError", "Signal", "SolutionClass",
     "SolutionSet", "SubsetFamily", "ToleranceConfig", "Violation", "ZeroPair",
-    "ZeroPairSet", "ZeroSelection", "acf_from_intensity_samples",
+    "ZeroPairSet", "acf_from_intensity_samples",
     "associated_polynomial", "autocorrelation", "canonicalize",
     "check_all_moduli_uniqueness", "check_magnitude_uniqueness",
     "check_phase_uniqueness_endpoint", "check_phase_uniqueness_two_points",

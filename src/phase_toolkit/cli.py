@@ -30,8 +30,9 @@ from .counterexamples import (magnitude_counterexample, phase_counterexample,
 from .criteria import (check_all_moduli_uniqueness, check_magnitude_uniqueness,
                        check_phase_uniqueness_endpoint,
                        check_phase_uniqueness_two_points)
-from .enumeration import enumerate_solutions, recover
-from .factorization import cluster_roots, pairs_from_zeros
+from .enumeration import enumerate_solutions, filter_by_constraints
+from .factorization import (associated_polynomial, cluster_roots, find_roots,
+                            pair_roots, pairs_from_zeros)
 from .signals import acf_from_intensity_samples, autocorrelation
 
 EXIT_OK = 0
@@ -139,21 +140,33 @@ def _read_json(path: str):
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_acf(document, cfg: ToleranceConfig):
-    """Accept a signal, an autocorrelation, or sampled intensity values."""
+def _signal_pairs(signal, cfg: ToleranceConfig):
+    """A signal's own N-1 zeros, repeated by multiplicity, and the pairs they fix."""
+    zeros = []
+    for root, mult in cluster_roots(signal.values, cfg):
+        zeros.extend([root] * mult)
+    leading = autocorrelation(signal)[signal.support_len - 1]
+    return zeros, pairs_from_zeros(zeros, leading=leading, cfg=cfg)
+
+
+def _load_pairs(document, cfg: ToleranceConfig):
+    """Zero pairs of a document: a signal's own zeros, or P's roots for an
+    autocorrelation or sampled intensity values, which hold only the intensity."""
     if not isinstance(document, dict):
         raise CliError("expected a JSON object describing the input")
     try:
         if "values" in document:
-            return autocorrelation(ser.signal_from_dict(document))
+            return _signal_pairs(ser.signal_from_dict(document), cfg)[1]
         if "coeffs" in document:
-            return ser.acf_from_dict(document)
-        if "samples" in document:
-            samples = [(float(w), float(v)) for w, v in document["samples"]]
-            return acf_from_intensity_samples(samples, int(document["n"]), cfg)
+            acf = ser.acf_from_dict(document)
+        elif "samples" in document:
+            acf = acf_from_intensity_samples(document["samples"], int(document["n"]), cfg)
+        else:
+            raise CliError("input needs 'values', 'coeffs' or 'samples'")
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(str(exc)) from exc
-    raise CliError("input needs 'values', 'coeffs' or 'samples'")
+    poly = associated_polynomial(acf, cfg)
+    return pair_roots(find_roots(poly, cfg), cfg, leading=poly.leading)
 
 
 def _write_result(text: str, args) -> None:
@@ -183,11 +196,7 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     signal = ser.signal_from_dict(_read_json(args.signal_file))
     n = signal.support_len
     acf = autocorrelation(signal)
-    # the signal's own N-1 zeros fix the pairs; P's 2N-2 roots are not needed
-    zeros = []
-    for root, mult in cluster_roots(signal.values, cfg):
-        zeros.extend([root] * mult)
-    pairs = pairs_from_zeros(zeros, leading=acf[n - 1], cfg=cfg)
+    zeros, pairs = _signal_pairs(signal, cfg)
     classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
     classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 
@@ -248,11 +257,11 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
 
 def _cmd_recover(args, cfg: ToleranceConfig) -> int:
     """`recover`; `enumerate` is the same pipeline without constraints or verdict codes."""
-    acf = _load_acf(_read_json(args.input_file), cfg)
+    pairs = _load_pairs(_read_json(args.input_file), cfg)
     constraints = (() if args.command == "enumerate"
                    else ser.constraints_from_list(_read_json(args.constraints_file)))
-    solutions = recover(acf, constraints, cfg,
-                        modulo_reflection=args.modulo_reflection)
+    solutions = filter_by_constraints(
+        enumerate_solutions(pairs, args.modulo_reflection, cfg), constraints, cfg)
     _write_result(_solution_text(solutions, args), args)
     if args.command == "enumerate" or len(solutions) == 1:
         return EXIT_OK

@@ -27,19 +27,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .factorization import (ZeroPairSet, associated_polynomial, find_roots,
                             pair_roots)
-from .signals import (Autocorrelation, CanonicalForm, Signal, _canonical_rows,
+from .signals import (Autocorrelation, Signal, _canonical_rows,
                       _support_bounds, _wrap_angle)
-
-
-@dataclass(frozen=True)
-class ZeroSelection:
-    """One chosen zero per pair occurrence, identifying a solution class.
-
-    How many occurrences of each pair picked the reflected member is kept
-    once, as the `mask` of the `SolutionClass` this selection produced.
-    """
-
-    zeros: tuple
 
 
 @dataclass(frozen=True)
@@ -64,18 +53,20 @@ class Constraint:
 
 @dataclass(frozen=True, eq=False)
 class SolutionClass:
-    """A deduplicated solution: canonical form plus the selection that produced it."""
+    """A deduplicated solution: its canonical row and the choice that produced it.
 
-    canonical: CanonicalForm
+    `values` is a read-only canonical row (support at zero), a view into the
+    rows kept for its support length.  `mask` holds, per zero pair, how many
+    occurrences picked the reflected member; with the pairs it fixes the
+    zeros.  `reflected` records whether the mirrored orientation was chosen.
+    """
+
+    values: np.ndarray
     mask: tuple
-    selection: ZeroSelection | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.canonical.values
+    reflected: bool = False
 
     def signal(self) -> Signal:
-        return Signal(0, self.canonical.values)
+        return Signal(0, self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +115,7 @@ def synthesize(selection, leading: complex, rotation: float = 0.0,
     """Signal with the given zero multiset and intensity normalization.
 
     Args:
-        selection: ZeroSelection or plain iterable of zeros (none may be 0).
+        selection: iterable of zeros (none may be 0).
         leading: top autocorrelation coefficient a[N-1]; only its modulus
             enters the amplitude.
         rotation: global phase angle.
@@ -132,9 +123,7 @@ def synthesize(selection, leading: complex, rotation: float = 0.0,
 
     This is the one-row case of the selection table in `enumerate_solutions`.
     """
-    zeros = _checked(selection.zeros if isinstance(selection, ZeroSelection)
-                     else selection)
-    rows, norms = _selection_table([((z,),) for z in zeros])
+    rows, norms = _selection_table([((z,),) for z in _checked(selection)])
     return Signal(offset, _scaled(rows, norms, leading, rotation)[0])
 
 
@@ -251,18 +240,17 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
         forms, reflected = _canonical_rows(values, modulo_reflection, cfg)
         kept, collisions = _dedupe(forms, cfg)
         near += collisions
-        found.extend(zip(rows[kept].tolist(), forms[kept], reflected[kept].tolist()))
+        # the classes of this length take their rows as views of one read-only block
+        block = forms[kept]
+        block.setflags(write=False)
+        found.extend(zip(rows[kept].tolist(), block, reflected[kept].tolist()))
     found.sort(key=lambda item: item[0])
     kept_rows = np.array([row for row, _, _ in found], dtype=np.intp)
     masks = (np.column_stack(np.unravel_index(kept_rows, sizes)) if sizes
              else np.zeros((kept_rows.size, 0), dtype=np.intp))
-    classes = []
-    for mask, (_, form, reflected) in zip(map(tuple, masks.tolist()), found):
-        zeros = tuple(itertools.chain.from_iterable(
-            options[f] for options, f in zip(choices, mask)))
-        classes.append(SolutionClass(CanonicalForm(form, reflected), mask,
-                                     ZeroSelection(zeros)))
-    return SolutionSet(tuple(classes), int(table.shape[0]), modulo_reflection, near)
+    classes = tuple(SolutionClass(values, mask, reflected) for mask, (_, values, reflected)
+                    in zip(map(tuple, masks.tolist()), found))
+    return SolutionSet(classes, int(table.shape[0]), modulo_reflection, near)
 
 
 def _rows_satisfy(rows: np.ndarray, constraints, cfg: ToleranceConfig) -> np.ndarray:

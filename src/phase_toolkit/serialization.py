@@ -16,7 +16,7 @@ from .counterexamples import CounterexamplePair
 from .criteria import CriterionReport
 from .enumeration import Constraint, SolutionClass, SolutionSet
 from .factorization import ZeroPair, ZeroPairSet
-from .signals import Autocorrelation, CanonicalForm, Signal
+from .signals import Autocorrelation, Signal
 
 
 def _format_float(value) -> str:
@@ -142,7 +142,7 @@ def solution_set_from_dict(data: dict, modulo_reflection: bool = False) -> Solut
         for entry in data["classes"]:
             sig = signal_from_dict(entry["signal"])
             mask = tuple(int(m) for m in entry["mask"])
-            classes.append(SolutionClass(CanonicalForm(sig.values), mask))
+            classes.append(SolutionClass(sig.values, mask))
         return SolutionSet(tuple(classes), int(data["total_enumerated"]),
                            modulo_reflection)
     except (KeyError, TypeError) as exc:

@@ -109,9 +109,10 @@ class Autocorrelation:
 class CanonicalForm:
     """Distinguished representative of a signal modulo trivial transforms.
 
-    The support starts at zero, the largest-magnitude component is rotated
-    onto the positive real axis (lowest index wins ties), and `reflected`
-    records whether the conjugate-reflected orientation was chosen.
+    The support starts at zero, the pivot (the lowest index whose modulus is
+    within cfg.tol of the peak, so moduli tied up to rounding never split the
+    rotations of one signal) is rotated onto the positive real axis, and
+    `reflected` records whether the conjugate-reflected orientation was chosen.
     """
 
     values: np.ndarray
@@ -179,11 +180,12 @@ def _support_bounds(rows: np.ndarray):
     return keep.any(axis=1), keep.argmax(axis=1), last
 
 
-def _phase_fixed(rows: np.ndarray) -> np.ndarray:
-    """Rotate each row so its largest-modulus entry (lowest index on ties) is real positive."""
+def _phase_fixed(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Rotate rows so each pivot (lowest index within cfg.tol of the peak modulus) is positive."""
     mags = np.abs(rows)
     at = np.arange(rows.shape[0])
-    pivot = np.argmax(mags, axis=1)
+    peaks = mags.max(axis=1, keepdims=True)
+    pivot = np.argmax(mags >= peaks - (cfg.atol + cfg.rtol * peaks), axis=1)
     unit = rows[at, pivot] / mags[at, pivot]
     return rows * np.conj(unit)[:, None]
 
@@ -209,10 +211,10 @@ def _canonical_rows(rows: np.ndarray, modulo_reflection: bool = False,
 
     `canonicalize` is the one-row case, so both agree bit for bit.
     """
-    forms = _phase_fixed(rows)
+    forms = _phase_fixed(rows, cfg)
     reflected = np.zeros(rows.shape[0], dtype=bool)
     if modulo_reflection:
-        mirror = _phase_fixed(np.conj(rows[:, ::-1]))
+        mirror = _phase_fixed(np.conj(rows[:, ::-1]), cfg)
         reflected = _lexicographically_before(mirror, forms, cfg)
         forms = np.where(reflected[:, None], mirror, forms)
     return forms, reflected

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from phase_toolkit import (DEFAULT_CONFIG, Constraint, SolutionClass,
-                           SolutionSet, ZeroSelection, autocorrelation,
+                           SolutionSet, autocorrelation,
                            canonicalize, enumerate_solutions,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, synthesize)
@@ -70,8 +70,9 @@ def classes_matching_constraints(zeros, targets, modulo_reflection, cfg=None):
     from phase_toolkit import DEFAULT_CONFIG
 
     cfg = cfg or DEFAULT_CONFIG
-    x = synthesize(zeros, float(np.prod(np.abs(zeros))))
-    top_lag = complex(np.conj(x.values[0]) * x.values[-1])
+    # the top lag a[N-1] is prod |z|; trimming the reference's values can lose it
+    top_lag = float(np.prod(np.abs(zeros)))
+    x = synthesize(zeros, top_lag)
     pairs = pairs_from_zeros(zeros, leading=top_lag, cfg=cfg)
     classes = enumerate_solutions(pairs, modulo_reflection=modulo_reflection,
                                   cfg=cfg)
@@ -112,39 +113,49 @@ def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
     total = 0
     near = 0
     for counts in itertools.product(*options):
-        zeros = []
-        for pair, flipped in zip(pairs.pairs, counts):
-            zeros.extend([pair.reflected] * flipped)
-            zeros.extend([pair.zero] * (pair.multiplicity - flipped))
-        selection = ZeroSelection(tuple(zeros))
-        form = canonicalize(synthesize(selection, pairs.leading),
+        form = canonicalize(synthesize(masked_zeros(pairs, counts), pairs.leading),
                             modulo_reflection=modulo_reflection, cfg=cfg)
         total += 1
         matched = False
         for existing in classes:
-            gap = form_distance(existing.canonical, form)
+            gap = form_distance(existing.values, form)
             scale = float(max(np.abs(form.values).max(),
-                              np.abs(existing.canonical.values).max()))
+                              np.abs(existing.values).max()))
             if gap <= cfg.dedupe_tol * scale:
                 matched = True
                 break
             if gap <= 10.0 * cfg.dedupe_tol * scale:
                 near += 1
         if not matched:
-            classes.append(SolutionClass(form, tuple(counts), selection))
+            classes.append(SolutionClass(form.values, tuple(counts), form.reflected))
     return SolutionSet(tuple(classes), total, modulo_reflection, near)
 
 
-def assert_same_solutions(got, want):
-    """Equal solution sets: counts, order, masks, flags, selections, bitwise values."""
+def masked_zeros(pairs, mask):
+    """The zeros a mask picks: per pair, `mask` reflected members, then the kept ones."""
+    zeros = []
+    for pair, flipped in zip(pairs.pairs, mask):
+        zeros.extend([pair.reflected] * flipped)
+        zeros.extend([pair.zero] * (pair.multiplicity - flipped))
+    return zeros
+
+
+def assert_same_solutions(got, want, pairs, cfg=DEFAULT_CONFIG):
+    """Equal solution sets: counts, order, masks, flags, bitwise values.
+
+    Each mask must also mean its class: the zeros it picks from `pairs`,
+    synthesized and canonicalised, give the class's values within dedupe_tol.
+    """
     assert got.total_enumerated == want.total_enumerated
     assert got.modulo_reflection == want.modulo_reflection
     assert got.near_collisions == want.near_collisions
     assert [c.mask for c in got.classes] == [c.mask for c in want.classes]
     for a, b in zip(got.classes, want.classes):
-        assert a.canonical.reflected == b.canonical.reflected
-        assert a.selection.zeros == b.selection.zeros
+        assert a.reflected == b.reflected
         assert a.values.tobytes() == b.values.tobytes()
+        form = canonicalize(synthesize(masked_zeros(pairs, a.mask), pairs.leading),
+                            modulo_reflection=got.modulo_reflection, cfg=cfg)
+        assert form_distance(form, a.values) <= cfg.dedupe_tol * float(np.abs(a.values).max())
 
 
 class ReferenceCriteria:
@@ -311,9 +322,9 @@ def reference_filter(solutions, constraints, cfg=DEFAULT_CONFIG):
 
     keep = []
     for cls in solutions.classes:
-        candidates = [cls.canonical.values]
+        candidates = [cls.values]
         if solutions.modulo_reflection:
-            candidates.append(np.conj(cls.canonical.values[::-1]))
+            candidates.append(np.conj(cls.values[::-1]))
         keep.append(any(satisfies(v) for v in candidates))
     return keep
 
@@ -360,7 +371,7 @@ def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
     solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
     reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
-    gaps = [form_distance(cls.canonical, reference_form) for cls in solutions.classes]
+    gaps = [form_distance(cls.values, reference_form) for cls in solutions.classes]
     own = int(np.argmin(gaps))
     if gaps[own] > cfg.dedupe_tol * float(np.abs(reference.values).max()):
         raise ArithmeticError("enumeration lost the reference signal's class")

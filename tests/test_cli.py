@@ -106,6 +106,23 @@ def test_analyze_pairs_the_signal_zeros(tmp_path, capsys, kind):
         assert doc["zero_pairs"].get("snapped", 0) == pairs.snapped
 
 
+def test_signal_documents_are_paired_from_their_zeros(tmp_path, capsys):
+    # a doubled zero makes P's double roots hard to certify; every command
+    # pairs a signal document from its own zeros and counts 12 and 6 classes
+    zeros = [1.2763995236171732 + 0.8299610870419515j] * 2 + [
+        -1.473354729578871 - 0.6153484178393258j, 1.250949180754609 + 0.47737765297488277j]
+    path = _write_signal(tmp_path / "s.json", synthesize(zeros, 1.0).values)
+    counts = []
+    for flags in ([], ["--modulo-reflection"]):
+        assert main(["enumerate", path, *flags]) == 0
+        counts.append(len(json.loads(capsys.readouterr().out)["classes"]))
+    out_path = tmp_path / "report.json"
+    assert main(["analyze", path, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text())
+    assert counts == [doc["class_count"], doc["class_count_modulo_reflection"]] == [12, 6]
+
+
 def test_enumerate_constant_intensity(tmp_path, capsys):
     src = tmp_path / "acf.json"
     src.write_text(json.dumps({"n": 1, "coeffs": [[1.0, 0.0]]}))

@@ -309,6 +309,11 @@ def test_all_moduli_verdict_matches_enumeration():
     # and the handcrafted ambiguous set really leaves two classes
     kept, _ = classes_matching_constraints([2.0, -0.5, 2.0j], all_indices(4), False)
     assert len(kept) == 2
+    # (t + 1e-7)^2 trims the reference to three entries; the oracle must still
+    # read the top lag prod|z| and keep the reference's class
+    kept, x = classes_matching_constraints([-1e-7, -1e-7, -2.0], all_indices(3), False)
+    assert x.values.size == 3
+    assert len(kept) == 1
 
 
 def test_phase_endpoint_verdict_matches_enumeration():

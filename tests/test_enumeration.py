@@ -131,7 +131,7 @@ def test_enumeration_contains_original():
         x = Signal(0, random_signal(rng, n))
         sols = enumerate_solutions(_pairs_of(x.values))
         target = canonicalize(x)
-        gaps = [form_distance(c.canonical, target) for c in sols.classes]
+        gaps = [form_distance(c.values, target) for c in sols.classes]
         scale = float(np.max(np.abs(x.values)))
         assert min(gaps) < 1e-6 * scale
 
@@ -182,7 +182,7 @@ def test_filter_phase_uses_rotation_freedom():
     assert len(kept) >= 1
     # the original class must be among the survivors
     target = canonicalize(x)
-    gaps = [form_distance(c.canonical, target) for c in kept.classes]
+    gaps = [form_distance(c.values, target) for c in kept.classes]
     assert min(gaps) < 1e-6 * float(np.max(np.abs(x.values)))
 
 
@@ -284,7 +284,7 @@ def test_recover_round_trip():
         acf = autocorrelation(x)
         sols = recover(acf)
         target = canonicalize(x)
-        gaps = [form_distance(c.canonical, target) for c in sols.classes]
+        gaps = [form_distance(c.values, target) for c in sols.classes]
         assert min(gaps) < 1e-6 * float(np.max(np.abs(x.values)))
 
 
@@ -300,6 +300,26 @@ def test_solution_class_signal_offset_zero():
     sols = enumerate_solutions(_pairs_of([1.0, 2.0]))
     for cls in sols.classes:
         assert cls.signal().offset == 0
+
+
+def test_solution_class_values_are_read_only_rows():
+    zeros = [1e-7, 1e-7, 2j, -1.5]  # two support lengths
+    sols = enumerate_solutions(pairs_from_zeros(zeros, leading=1.0), modulo_reflection=True)
+    assert {c.values.size for c in sols.classes} == {4, 5}
+    for cls in sols.classes:
+        assert not cls.values.flags.writeable
+        with pytest.raises(ValueError):
+            cls.values[0] = 0.0
+
+
+def test_near_tied_peak_moduli_pick_one_pivot():
+    # the two end entries of both mixed selections have moduli that agree to
+    # rounding; an exact argmax let ulps pick different pivots for a signal
+    # and its mirror, which then never merged
+    r = 1.523132880966339
+    pairs = pairs_from_zeros([r, -1.0 / r])
+    assert len(enumerate_solutions(pairs)) == 4
+    assert len(enumerate_solutions(pairs, modulo_reflection=True)) == 2
 
 
 def _sweep_zero_sets():
@@ -331,7 +351,7 @@ def test_enumeration_matches_reference_sweep(modulo_reflection):
     for zeros in _sweep_zero_sets():
         pairs = pairs_from_zeros(zeros, leading=float(np.prod(np.abs(zeros))))
         assert_same_solutions(enumerate_solutions(pairs, modulo_reflection),
-                              reference_enumeration(pairs, modulo_reflection))
+                              reference_enumeration(pairs, modulo_reflection), pairs)
 
 
 def test_trimmed_supports_keep_their_length():
@@ -340,7 +360,7 @@ def test_trimmed_supports_keep_their_length():
     pairs = pairs_from_zeros([1e-7, 1e-7, 2j, -1.5], leading=1.0)
     for modulo_reflection in (False, True):
         sols = enumerate_solutions(pairs, modulo_reflection)
-        assert_same_solutions(sols, reference_enumeration(pairs, modulo_reflection))
+        assert_same_solutions(sols, reference_enumeration(pairs, modulo_reflection), pairs)
     sols = enumerate_solutions(pairs)
     assert [c.values.size for c in sols.classes] == [4, 5, 4, 4, 5, 4, 4, 5, 4, 4, 5, 4]
     assert sols.near_collisions == 0
@@ -391,4 +411,4 @@ def _zero_geometries(draw):
 def test_enumeration_matches_reference_on_hard_geometries(zeros, modulo_reflection):
     pairs = pairs_from_zeros(zeros, leading=1.0)
     assert_same_solutions(enumerate_solutions(pairs, modulo_reflection),
-                          reference_enumeration(pairs, modulo_reflection))
+                          reference_enumeration(pairs, modulo_reflection), pairs)

@@ -105,6 +105,7 @@ def test_solution_set_round_trip():
     for a, b in zip(back.classes, sols.classes):
         assert a.mask == b.mask
         np.testing.assert_array_equal(a.values, b.values)
+        assert not a.values.flags.writeable
 
 
 def test_solution_writers_match_per_class_signals():
