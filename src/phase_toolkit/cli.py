@@ -143,7 +143,7 @@ def _read_json(path: str):
 def _signal_pairs(signal, cfg: ToleranceConfig):
     """A signal's own N-1 zeros, repeated by multiplicity, and the pairs they fix."""
     zeros = []
-    for root, mult in cluster_roots(signal.values, cfg):
+    for root, mult in cluster_roots(signal.values):
         zeros.extend([root] * mult)
     leading = autocorrelation(signal)[signal.support_len - 1]
     return zeros, pairs_from_zeros(zeros, leading=leading, cfg=cfg)
@@ -166,7 +166,7 @@ def _load_pairs(document, cfg: ToleranceConfig):
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(str(exc)) from exc
     poly = associated_polynomial(acf, cfg)
-    return pair_roots(find_roots(poly, cfg), cfg, leading=poly.leading)
+    return pair_roots(find_roots(poly), cfg, leading=poly.leading)
 
 
 def _write_result(text: str, args) -> None:

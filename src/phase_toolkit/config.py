@@ -1,9 +1,10 @@
 """Shared numerical tolerances.
 
-Every comparison in the toolkit follows the pattern
-``|delta| <= atol + rtol * scale`` where ``scale`` is the largest magnitude
-relevant to the comparison, so the defaults below act as both absolute
-floors and relative bands.
+Comparisons follow the pattern ``|delta| <= atol + rtol * scale`` where
+``scale`` is the largest magnitude relevant to the comparison, so the
+defaults below act as both absolute floors and relative bands.  The
+canonical order of signals is purely relative: ``cfg.tol(1)`` times the
+peak modulus.
 """
 
 from __future__ import annotations
@@ -13,33 +14,24 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerance knobs used across the pipeline.
+    """Tolerance knobs used across the pipeline, one per CLI flag.
 
     atol, rtol        general closeness band
     circle_tol        radial band inside which a zero is snapped onto the
                       unit circle
-    cluster_radius    base gathering radius for root multiplicity detection
-                      (grows automatically with the candidate multiplicity)
-    residual_tol      polynomial residual accepted when certifying a root
-    pair_tol          reflected-pair matching band, |z1 * conj(z2) - 1|
     criterion_tol     equality band for the uniqueness criteria
-    dedupe_tol        canonical-form distance below which two enumerated
-                      solutions are merged into one class
-    max_newton_iter   iteration cap of every Newton polish in root finding
 
-    Support trimming is not a knob: `signals` trims boundary entries below a
-    fixed 1e-12 times the peak modulus, for signals and enumerated rows alike.
+    The other thresholds are constants beside the code that reads them, not
+    knobs: support trimming (`signals._TRIM_THRESHOLD`), root certification
+    (`factorization._CLUSTER_RADIUS`, `_RESIDUAL_TOL`, `_MAX_NEWTON_ITER`),
+    reflected-pair matching (`factorization._PAIR_TOL`) and the class dedupe
+    (`enumeration._DEDUPE_TOL`).
     """
 
     atol: float = 1e-9
     rtol: float = 1e-9
     circle_tol: float = 1e-8
-    cluster_radius: float = 1e-7
-    residual_tol: float = 1e-6
-    pair_tol: float = 1e-8
     criterion_tol: float = 1e-8
-    dedupe_tol: float = 1e-7
-    max_newton_iter: int = 60
 
     def __post_init__(self):
         for entry in fields(self):

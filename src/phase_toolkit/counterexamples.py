@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .enumeration import enumerate_solutions, synthesize
+from .enumeration import _DEDUPE_TOL, enumerate_solutions, synthesize
 from .factorization import pairs_from_zeros
 from .signals import Signal, _canonical_rows, _wrap_angle
 
@@ -154,7 +154,7 @@ def phase_counterexample(zeros, support_len: int | None = None,
     partners = [cls.signal() for cls in solutions.classes]
     gaps = _verify_family(reference, partners, cfg, _probe_grid())["canonical_gap"]
     own = int(np.argmin(gaps))
-    if gaps[own] > cfg.dedupe_tol * float(np.abs(reference.values).max()):
+    if gaps[own] > _DEDUPE_TOL * float(np.abs(reference.values).max()):
         raise ArithmeticError("enumeration lost the reference signal's class")
     del partners[own]
     if partners and np.abs(np.angle(np.concatenate([y.values for y in partners]))).max() \

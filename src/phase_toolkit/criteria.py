@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .enumeration import _selection_table
+from .factorization import _PAIR_TOL
 
 ROTATION = "rotation"
 ROTATION_REFLECTION = "rotation_reflection"
@@ -135,7 +136,7 @@ def _positions(zeros: tuple, cfg: ToleranceConfig):
     eligible = np.flatnonzero(np.abs(np.abs(items) - 1.0) > cfg.circle_tol)
     moved = items[eligible]
     first, second = np.nonzero(np.triu(
-        np.abs(np.multiply.outer(moved, moved.conj()) - 1.0) <= cfg.pair_tol, 1))
+        np.abs(np.multiply.outer(moved, moved.conj()) - 1.0) <= _PAIR_TOL, 1))
     weight = 1 << np.arange(eligible.size)[::-1]
     both = weight[first] | weight[second]
     free = ((1 << eligible.size) - 1) & ~int(np.bitwise_or.reduce(both, initial=0))

@@ -30,6 +30,8 @@ from .factorization import (ZeroPairSet, associated_polynomial, find_roots,
 from .signals import (Autocorrelation, Signal, _canonical_rows,
                       _support_bounds, _wrap_angle)
 
+_DEDUPE_TOL = 1e-7  # canonical-form distance, relative to the larger peak, of one class
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -148,8 +150,7 @@ def _selection_table(slots):
     return rows, norms
 
 
-def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray,
-            kept: np.ndarray, cfg: ToleranceConfig) -> int:
+def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray, kept: np.ndarray) -> int:
     """Greedy dedupe pass over `rows`, given in first-seen order.
 
     Each row is compared with the representatives before it.  Clears `kept`
@@ -160,9 +161,9 @@ def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray,
     for i in rows[1:].tolist():
         gap = np.abs(forms[reps] - forms[i]).max(axis=1)
         scale = np.maximum(peaks[i], peaks[reps])
-        merges = np.flatnonzero(gap <= cfg.dedupe_tol * scale)
+        merges = np.flatnonzero(gap <= _DEDUPE_TOL * scale)
         checked = merges[0] if merges.size else reps.size
-        near += int(np.count_nonzero(gap[:checked] <= 10.0 * cfg.dedupe_tol * scale[:checked]))
+        near += int(np.count_nonzero(gap[:checked] <= 10.0 * _DEDUPE_TOL * scale[:checked]))
         if merges.size:
             kept[i] = False
         else:
@@ -170,11 +171,11 @@ def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray,
     return near
 
 
-def _dedupe(forms: np.ndarray, cfg: ToleranceConfig):
+def _dedupe(forms: np.ndarray):
     """First-seen greedy dedupe of equal-length canonical forms.
 
     A form merges into the first earlier representative within
-    dedupe_tol * scale (scale the larger peak modulus of the two); every
+    `_DEDUPE_TOL` * scale (scale the larger peak modulus of the two); every
     representative checked before that within ten times the tolerance is a
     near collision.  The forms are sorted by the real part of one column (the
     one that spreads widest) and cut into runs wherever neighbouring keys
@@ -184,7 +185,7 @@ def _dedupe(forms: np.ndarray, cfg: ToleranceConfig):
     Returns the indices of the representatives and the near-collision count.
     """
     peaks = np.abs(forms).max(axis=1)
-    near_tol = 10.0 * cfg.dedupe_tol
+    near_tol = 10.0 * _DEDUPE_TOL
     keys = forms[:, int(np.argmax(np.ptp(forms.real, axis=0)))].real
     order = np.argsort(keys, kind="stable")
     # widened by a relative 1e-9 so that rounding in the keys cannot split a close pair
@@ -199,11 +200,11 @@ def _dedupe(forms: np.ndarray, cfg: ToleranceConfig):
     earlier, later = twos[:, 0], twos[:, 1]
     gap = np.abs(forms[earlier] - forms[later]).max(axis=1)
     scale = np.maximum(peaks[later], peaks[earlier])
-    merges = gap <= cfg.dedupe_tol * scale
+    merges = gap <= _DEDUPE_TOL * scale
     kept[later[merges]] = False
     near += int(np.count_nonzero(~merges & (gap <= near_tol * scale)))
     for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
-        near += _replay(forms, peaks, np.sort(order[start:start + size]), kept, cfg)
+        near += _replay(forms, peaks, np.sort(order[start:start + size]), kept)
     return np.flatnonzero(kept), near
 
 
@@ -238,7 +239,7 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
         rows = np.flatnonzero(lengths == length)
         values = table[rows[:, None], first[rows, None] + np.arange(length)]
         forms, reflected = _canonical_rows(values, modulo_reflection, cfg)
-        kept, collisions = _dedupe(forms, cfg)
+        kept, collisions = _dedupe(forms)
         near += collisions
         # the classes of this length take their rows as views of one read-only block
         block = forms[kept]
@@ -312,7 +313,7 @@ def recover(acf: Autocorrelation, constraints=(),
             modulo_reflection: bool = False) -> SolutionSet:
     """Every solution class of an autocorrelation, filtered by constraints."""
     poly = associated_polynomial(acf, cfg)
-    roots = find_roots(poly, cfg)
+    roots = find_roots(poly)
     pairs = pair_roots(roots, cfg, leading=poly.leading)
     solutions = enumerate_solutions(pairs, modulo_reflection=modulo_reflection, cfg=cfg)
     return filter_by_constraints(solutions, constraints, cfg)

@@ -17,6 +17,10 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .signals import _TRIM_THRESHOLD, Autocorrelation, _as_complex_vector, _readonly
 
 _EPS = float(np.finfo(float).eps)
+_CLUSTER_RADIUS = 1e-7  # base gathering radius of multiple roots, relative to max(1, |z|)
+_RESIDUAL_TOL = 1e-6  # P or a derivative vanishes below this fraction of its evaluation bound
+_MAX_NEWTON_ITER = 60  # iteration cap of every Newton polish
+_PAIR_TOL = 1e-8  # reflected-pair matching band, |z1 * conj(z2) - 1|
 
 
 class RootFindingError(ValueError):
@@ -113,11 +117,10 @@ def _newton(desc: np.ndarray, deriv: np.ndarray, starts, max_iter: int,
     return z, converged
 
 
-def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int,
-                             cfg: ToleranceConfig):
+def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int):
     """True when P and its first mult-1 derivatives vanish at z but the next does not.
 
-    Vanishing is judged against cfg.residual_tol, while "does not vanish"
+    Vanishing is judged against `_RESIDUAL_TOL`, while "does not vanish"
     only has to clear the rounding noise of the evaluation (a few orders
     above machine epsilon): genuine high-order derivative values can sit far
     below any fixed fraction of the coefficient-sum bound.  `z` may be an
@@ -127,7 +130,7 @@ def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int,
     consistent = np.ones(np.shape(z), dtype=bool)
     for k in range(mult):
         bound = _evaluation_bound(abs_derivatives[k], mag)
-        consistent &= np.abs(np.polyval(derivatives[k], z)) <= cfg.residual_tol * bound
+        consistent &= np.abs(np.polyval(derivatives[k], z)) <= _RESIDUAL_TOL * bound
         if not consistent.any():
             return consistent
     if mult < len(derivatives):
@@ -144,12 +147,12 @@ def _derivatives(desc: np.ndarray, order: int):
     return derivatives, [np.abs(d) for d in derivatives]
 
 
-def _gather_radius(mult: int, cfg: ToleranceConfig) -> float:
+def _gather_radius(mult: int) -> float:
     # Eigenvalues of a multiplicity-m root scatter like eps**(1/m), so the
     # gathering radius must grow with the candidate multiplicity.
     if mult <= 1:
-        return cfg.cluster_radius
-    return max(cfg.cluster_radius, 10.0 * _EPS ** (1.0 / mult))
+        return _CLUSTER_RADIUS
+    return max(_CLUSTER_RADIUS, 10.0 * _EPS ** (1.0 / mult))
 
 
 def _isolated(points: np.ndarray, radius: float) -> np.ndarray:
@@ -159,28 +162,27 @@ def _isolated(points: np.ndarray, radius: float) -> np.ndarray:
     return gaps.min(axis=1, initial=np.inf) > radius * np.maximum(1.0, np.abs(points))
 
 
-def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives,
-                    cfg: ToleranceConfig):
+def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives):
     """Polished simple roots and the mask of eigenvalues they came from.
 
     An eigenvalue is certified as a simple root when no other eigenvalue
     lies within the multiplicity-2 gathering radius, Newton's method
     converges from it, the forward-error estimate eps * B(|z|) / |P'(z)| is
-    within cfg.cluster_radius, P vanishes while P' does not, and the
+    within `_CLUSTER_RADIUS`, P vanishes while P' does not, and the
     polished points stay apart.  The error estimate is what rejects the
     members of a root of multiplicity three or more: their eigenvalues
     scatter far beyond the radius, and P is at rounding level there.
     """
-    radius = _gather_radius(2, cfg)
+    radius = _gather_radius(2)
     candidates = np.flatnonzero(_isolated(eigenvalues, radius))
     roots, converged = _newton(derivatives[0], derivatives[1], eigenvalues[candidates],
-                               cfg.max_newton_iter, abs_derivatives[0])
+                               _MAX_NEWTON_ITER, abs_derivatives[0])
     candidates, roots = candidates[converged], roots[converged]
     mag = np.abs(roots)
     error = _EPS * _evaluation_bound(abs_derivatives[0], mag)
-    keep = error <= cfg.cluster_radius * np.maximum(1.0, mag) * np.abs(
+    keep = error <= _CLUSTER_RADIUS * np.maximum(1.0, mag) * np.abs(
         np.polyval(derivatives[1], roots))
-    keep &= _multiplicity_consistent(derivatives, abs_derivatives, roots, 1, cfg)
+    keep &= _multiplicity_consistent(derivatives, abs_derivatives, roots, 1)
     candidates, roots = candidates[keep], roots[keep]
     apart = _isolated(roots, radius)
     certified = np.zeros(eigenvalues.size, dtype=bool)
@@ -188,8 +190,7 @@ def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives,
     return roots[apart], certified
 
 
-def _cluster_top_down(leftover, derivatives, abs_derivatives, cfg: ToleranceConfig,
-                      found: list) -> None:
+def _cluster_top_down(leftover, derivatives, abs_derivatives, found: list) -> None:
     """Place the leftover eigenvalues as (root, multiplicity) pairs appended to `found`.
 
     The leftovers are kept in (real, imag) order.  For each candidate
@@ -211,15 +212,15 @@ def _cluster_top_down(leftover, derivatives, abs_derivatives, cfg: ToleranceConf
         scale = np.maximum(1.0, np.abs(remaining))
         for mult in range(remaining.size, 0, -1):
             seeds = np.flatnonzero(gaps[np.arange(remaining.size), nearest[:, mult - 1]]
-                                   <= _gather_radius(mult, cfg) * scale)
+                                   <= _gather_radius(mult) * scale)
             groups = nearest[seeds, :mult]
             # polishing from a poor group mean may overflow; such roots are not finite
             with np.errstate(over="ignore", invalid="ignore"):
                 roots, _ = _newton(derivatives[mult - 1], derivatives[mult],
-                                   remaining[groups].mean(axis=1), cfg.max_newton_iter)
+                                   remaining[groups].mean(axis=1), _MAX_NEWTON_ITER)
             passing = np.flatnonzero(np.isfinite(roots))
             passing = passing[_multiplicity_consistent(derivatives, abs_derivatives,
-                                                       roots[passing], mult, cfg)]
+                                                       roots[passing], mult)]
             if passing.size:
                 found.append((complex(roots[passing[0]]), mult))
                 remaining = np.delete(remaining, groups[passing[0]])
@@ -230,13 +231,13 @@ def _cluster_top_down(leftover, derivatives, abs_derivatives, cfg: ToleranceConf
                 partial=found)
 
 
-def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
+def cluster_roots(coeffs_ascending):
     """All zeros of a polynomial as (root, multiplicity) pairs.
 
     Simple roots, the generic case, are certified first: every isolated
     companion-matrix eigenvalue is Newton-polished in one vectorised pass
     and accepted when Newton converges, the forward-error estimate
-    eps * B(|z|) / |P'(z)| is within cfg.cluster_radius, and P vanishes
+    eps * B(|z|) / |P'(z)| is within `_CLUSTER_RADIUS`, and P vanishes
     while P' clearly does not (see `_certify_simple`).
 
     Only the eigenvalues this pass rejects, which happens at multiple roots
@@ -255,20 +256,19 @@ def cluster_roots(coeffs_ascending, cfg: ToleranceConfig = DEFAULT_CONFIG):
 
     desc = asc[::-1]
     eigenvalues = np.roots(desc)
-    simple, certified = _certify_simple(eigenvalues, *_derivatives(desc, 1), cfg)
+    simple, certified = _certify_simple(eigenvalues, *_derivatives(desc, 1))
     found = [(complex(z), 1) for z in simple]
     leftover = eigenvalues[~certified]
     if leftover.size:
         # an m-fold cluster needs derivatives up to order m <= len(leftover)
-        _cluster_top_down(leftover, *_derivatives(desc, leftover.size), cfg, found)
+        _cluster_top_down(leftover, *_derivatives(desc, leftover.size), found)
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     return found
 
 
-def find_roots(poly: AssociatedPolynomial,
-               cfg: ToleranceConfig = DEFAULT_CONFIG):
+def find_roots(poly: AssociatedPolynomial):
     """Zeros of the associated polynomial as (root, multiplicity) pairs."""
-    return cluster_roots(poly.coeffs, cfg)
+    return cluster_roots(poly.coeffs)
 
 
 @dataclass(frozen=True)
@@ -315,6 +315,7 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
     the polynomial did not come from an autocorrelation.  A root without a
     reflected partner, or one whose partner has another multiplicity,
     raises `RootFindingError` carrying the input roots as `partial`.
+    `pairs_from_zeros` then builds the pairs from one member of each.
     """
     roots = list(roots)
     on_circle = []
@@ -328,7 +329,7 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
             raise ValueError("multiplicities must be positive")
         total += mult
         if abs(abs(z) - 1.0) <= cfg.circle_tol:
-            on_circle.append([z / abs(z), mult])
+            on_circle.append((z / abs(z), z, mult))
         elif abs(z) > 1.0:
             outside.append((z, mult))
         else:
@@ -337,21 +338,20 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
         raise ValueError(
             "input is not a valid autocorrelation spectrum: odd number of zeros")
 
-    snapped = sum(m for _, m in on_circle)
     merged = []
-    for z, mult in sorted(on_circle, key=lambda item: _sort_key(item[0])):
-        if merged and abs(merged[-1][0] - z) <= 2.0 * cfg.circle_tol:
-            merged[-1][1] += mult
+    for unit, z, mult in sorted(on_circle, key=lambda item: _sort_key(item[0])):
+        if merged and abs(merged[-1][0] - unit) <= 2.0 * cfg.circle_tol:
+            merged[-1][2] += mult
         else:
-            merged.append([z, mult])
+            merged.append([unit, z, mult])
 
-    pairs = []
-    for z, mult in merged:
+    members = []
+    for _, z, mult in merged:
         if mult % 2:
             raise ValueError(
                 "input is not a valid autocorrelation spectrum: "
                 "on-circle zero with odd multiplicity")
-        pairs.append(ZeroPair(z, z, True, mult // 2))
+        members += [z] * (mult // 2)  # the raw root, which `pairs_from_zeros` normalises
 
     for z, mult in sorted(outside, key=lambda item: _sort_key(item[0])):
         target = 1.0 / z.conjugate()
@@ -361,7 +361,7 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
             gap = abs(candidate - target)
             if gap < best_gap:
                 best, best_gap = idx, gap
-        if best is None or best_gap > cfg.pair_tol * max(1.0, abs(target)):
+        if best is None or best_gap > _PAIR_TOL * max(1.0, abs(target)):
             raise RootFindingError(
                 "input is not a valid autocorrelation spectrum: "
                 f"zero {z!r} has no reflected partner", roots)
@@ -371,14 +371,12 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
                 "input is not a valid autocorrelation spectrum: "
                 f"multiplicity mismatch at zero {z!r}", roots)
         del inside[best]
-        pairs.append(ZeroPair(z, target, False, mult))
+        members += [z] * mult
     if inside:
         raise RootFindingError(
             "input is not a valid autocorrelation spectrum: "
             f"zero {inside[0][0]!r} has no reflected partner", roots)
-
-    pairs.sort(key=lambda p: _sort_key(p.zero))
-    return ZeroPairSet(tuple(pairs), complex(leading), snapped)
+    return pairs_from_zeros(members, leading, cfg)
 
 
 def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
@@ -388,7 +386,7 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
     Each given zero contributes one selection slot; zeros that are mutual
     reflections (or repeats) accumulate multiplicity in a single pair.  An
     on-circle zero is a double root of the associated polynomial, so
-    `snapped` counts two per on-circle zero, as `pair_roots` does.
+    `snapped` counts two per on-circle zero.
     """
     groups = []
     for raw in zeros:
@@ -401,14 +399,12 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
         else:
             representative = z if abs(z) > 1.0 else 1.0 / z.conjugate()
             circled = False
-        placed = False
+        reach = _CLUSTER_RADIUS * max(1.0, abs(representative))
         for group in groups:
-            if group[2] == circled and abs(group[0] - representative) <= \
-                    cfg.cluster_radius * max(1.0, abs(representative)):
+            if group[2] == circled and abs(group[0] - representative) <= reach:
                 group[1] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([representative, 1, circled])
     pairs = [ZeroPair(rep, rep if circled else 1.0 / rep.conjugate(), circled, mult)
              for rep, mult, circled in groups]

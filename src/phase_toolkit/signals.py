@@ -110,9 +110,11 @@ class CanonicalForm:
     """Distinguished representative of a signal modulo trivial transforms.
 
     The support starts at zero, the pivot (the lowest index whose modulus is
-    within cfg.tol of the peak, so moduli tied up to rounding never split the
-    rotations of one signal) is rotated onto the positive real axis, and
-    `reflected` records whether the conjugate-reflected orientation was chosen.
+    within cfg.tol(1) of the peak modulus, relatively, so moduli tied up to
+    rounding never split the rotations of one signal) is rotated onto the
+    positive real axis, and `reflected` records whether the
+    conjugate-reflected orientation was chosen.  Every comparison is relative
+    to the peak, so scaling a signal by c > 0 scales its form by c.
     """
 
     values: np.ndarray
@@ -181,11 +183,12 @@ def _support_bounds(rows: np.ndarray):
 
 
 def _phase_fixed(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Rotate rows so each pivot (lowest index within cfg.tol of the peak modulus) is positive."""
+    """Rotate rows so each pivot (lowest index within a relative cfg.tol(1) of
+    the peak modulus) is positive."""
     mags = np.abs(rows)
     at = np.arange(rows.shape[0])
     peaks = mags.max(axis=1, keepdims=True)
-    pivot = np.argmax(mags >= peaks - (cfg.atol + cfg.rtol * peaks), axis=1)
+    pivot = np.argmax(mags >= peaks - cfg.tol(1.0) * peaks, axis=1)
     unit = rows[at, pivot] / mags[at, pivot]
     return rows * np.conj(unit)[:, None]
 
@@ -193,11 +196,11 @@ def _phase_fixed(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 def _lexicographically_before(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Row-wise a < b, componentwise by real then imaginary part.
 
-    Entries closer than cfg.tol(scale), scale the largest modulus of the row
-    pair, count as equal; rows equal throughout are not before.
+    Entries closer than cfg.tol(1) times the largest modulus of the row pair
+    count as equal; rows equal throughout are not before.
     """
     scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
-    band = cfg.atol + cfg.rtol * scale
+    band = cfg.tol(1.0) * scale
     flat_a, flat_b = a.view(np.float64), b.view(np.float64)
     apart = np.abs(flat_a - flat_b) > band[:, None]
     at = np.arange(a.shape[0])

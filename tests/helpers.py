@@ -11,8 +11,9 @@ from phase_toolkit import (DEFAULT_CONFIG, Constraint, SolutionClass,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, synthesize)
 from phase_toolkit.counterexamples import _probe_grid
-from phase_toolkit.factorization import (_EPS, RootFindingError, _gather_radius,
-                                         _multiplicity_consistent)
+from phase_toolkit.enumeration import _DEDUPE_TOL
+from phase_toolkit.factorization import (_EPS, _MAX_NEWTON_ITER, _PAIR_TOL, RootFindingError,
+                                         _gather_radius, _multiplicity_consistent)
 from phase_toolkit.signals import _wrap_angle
 
 
@@ -121,10 +122,10 @@ def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
             gap = form_distance(existing.values, form)
             scale = float(max(np.abs(form.values).max(),
                               np.abs(existing.values).max()))
-            if gap <= cfg.dedupe_tol * scale:
+            if gap <= _DEDUPE_TOL * scale:
                 matched = True
                 break
-            if gap <= 10.0 * cfg.dedupe_tol * scale:
+            if gap <= 10.0 * _DEDUPE_TOL * scale:
                 near += 1
         if not matched:
             classes.append(SolutionClass(form.values, tuple(counts), form.reflected))
@@ -155,7 +156,7 @@ def assert_same_solutions(got, want, pairs, cfg=DEFAULT_CONFIG):
         assert a.values.tobytes() == b.values.tobytes()
         form = canonicalize(synthesize(masked_zeros(pairs, a.mask), pairs.leading),
                             modulo_reflection=got.modulo_reflection, cfg=cfg)
-        assert form_distance(form, a.values) <= cfg.dedupe_tol * float(np.abs(a.values).max())
+        assert form_distance(form, a.values) <= _DEDUPE_TOL * float(np.abs(a.values).max())
 
 
 class ReferenceCriteria:
@@ -178,7 +179,7 @@ class ReferenceCriteria:
         self.eligible = [i for i, z in enumerate(self.zeros)
                          if abs(abs(z) - 1.0) > cfg.circle_tol]
         self.pairs = [(a, b) for a, b in itertools.combinations(self.eligible, 2)
-                      if abs(self.zeros[a] * self.zeros[b].conjugate() - 1.0) <= cfg.pair_tol]
+                      if abs(self.zeros[a] * self.zeros[b].conjugate() - 1.0) <= _PAIR_TOL]
         paired = {i for pair in self.pairs for i in pair}
         self.free = {i for i in self.eligible if i not in paired}
         self.reference = self._weighted_s(())
@@ -373,7 +374,7 @@ def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
     reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
     gaps = [form_distance(cls.values, reference_form) for cls in solutions.classes]
     own = int(np.argmin(gaps))
-    if gaps[own] > cfg.dedupe_tol * float(np.abs(reference.values).max()):
+    if gaps[own] > _DEDUPE_TOL * float(np.abs(reference.values).max()):
         raise ArithmeticError("enumeration lost the reference signal's class")
     partners = []
     for idx, cls in enumerate(solutions.classes):
@@ -401,7 +402,7 @@ def reference_polish(desc, deriv, start, max_iter):
     return z
 
 
-def reference_cluster_top_down(leftover, derivatives, abs_derivatives, cfg, found):
+def reference_cluster_top_down(leftover, derivatives, abs_derivatives, found):
     """`factorization._cluster_top_down` decided seed by seed.
 
     For each multiplicity m from the number of remaining leftovers down to 1,
@@ -415,7 +416,7 @@ def reference_cluster_top_down(leftover, derivatives, abs_derivatives, cfg, foun
     while remaining:
         placed = False
         for mult in range(len(remaining), 0, -1):
-            radius = _gather_radius(mult, cfg)
+            radius = _gather_radius(mult)
             for seed in remaining:
                 span = radius * max(1.0, abs(seed))
                 near = [w for w in remaining if abs(w - seed) <= span]
@@ -424,10 +425,10 @@ def reference_cluster_top_down(leftover, derivatives, abs_derivatives, cfg, foun
                 near.sort(key=lambda w: abs(w - seed))
                 group = near[:mult]
                 root = reference_polish(derivatives[mult - 1], derivatives[mult],
-                                        complex(np.mean(group)), cfg.max_newton_iter)
+                                        complex(np.mean(group)), _MAX_NEWTON_ITER)
                 if not np.isfinite(root.real) or not np.isfinite(root.imag):
                     continue
-                if not _multiplicity_consistent(derivatives, abs_derivatives, root, mult, cfg):
+                if not _multiplicity_consistent(derivatives, abs_derivatives, root, mult):
                     continue
                 found.append((root, mult))
                 for w in group:

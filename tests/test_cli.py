@@ -302,6 +302,53 @@ def test_bad_env_tolerance_is_an_error(tmp_path, capsys, monkeypatch):
     assert "PHASE_TOOLKIT_TOL_ABS" in captured.err
 
 
+def test_circle_tol_flag_snaps_a_near_circle_zero(tmp_path, capsys):
+    path = _write_signal(tmp_path / "s.json", synthesize([1.00001j, 2.0, -1.5 + 0.5j], 1.0).values)
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "(on circle: 0, snapped roots: 0)" in out
+    assert "solution classes: 8 up to rotation/shift, 4 up to reflection as well" in out
+    assert main(["analyze", path, "--circle-tol", "1e-4"]) == 0
+    out = capsys.readouterr().out
+    assert "(on circle: 1, snapped roots: 2)" in out
+    assert "solution classes: 4 up to rotation/shift, 2 up to reflection as well" in out
+
+
+def test_criterion_tol_flag_widens_the_equality_band(tmp_path, capsys):
+    path = _write_signal(tmp_path / "s.json", synthesize([1.00001j, 2.0, -1.5 + 0.5j], 1.0).values)
+    verdicts = {}
+    for argv in ([], ["--criterion-tol", "10"]):
+        assert main(["analyze", path, *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        verdicts[len(argv)] = [line.split(": ")[1].split(" ")[0] for line in lines]
+    assert verdicts == {0: ["unique"] * 8, 2: ["ambiguous"] * 8}
+
+
+def test_tol_rel_flag_widens_the_constraint_band(tmp_path, capsys):
+    acf_path = _write_acf(tmp_path / "acf.json", [1.0, 2.0])
+    cons = _write_constraints(tmp_path / "c.json",
+                              [{"kind": "magnitude", "index": 0, "value": 1.0 + 1e-6}])
+    assert main(["recover", acf_path, cons]) == 3
+    capsys.readouterr()
+    assert main(["recover", acf_path, cons, "--tol-rel", "1e-5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["classes"]) == 1
+    assert abs(complex(*doc["classes"][0]["signal"]["values"][0])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--tol-abs", "atol"), ("--tol-rel", "rtol"),
+    ("--circle-tol", "circle_tol"), ("--criterion-tol", "criterion_tol"),
+])
+def test_non_positive_tolerance_is_a_usage_error(tmp_path, capsys, flag, field):
+    path = _write_signal(tmp_path / "s.json", [1.0, 2.0])
+    rc = main(["analyze", path, flag, "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"{field} must be positive" in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     rc = main(["analyze", "/nonexistent/path.json"])
     captured = capsys.readouterr()

@@ -10,13 +10,14 @@ from phase_toolkit import (ROTATION, ROTATION_REFLECTION, SubsetFamily,
                            check_phase_uniqueness_endpoint,
                            check_phase_uniqueness_two_points, cluster_roots,
                            elementary_symmetric, elementary_symmetric_all,
+                           enumerate_solutions, filter_by_constraints,
                            magnitude_counterexample, modified_zero_set,
-                           synthesize)
+                           pairs_from_zeros, synthesize)
 from phase_toolkit import criteria
 from phase_toolkit.criteria import reflection_table
 
 from helpers import (ReferenceCriteria, classes_matching_constraints,
-                     random_zero_set)
+                     constraints_from_signal, random_zero_set)
 
 
 def test_elementary_symmetric_small_cases():
@@ -470,3 +471,57 @@ def test_origin_zero_reflected_only_when_admissible():
         check_magnitude_uniqueness(zeros, 0, 3)
     with pytest.raises(ValueError, match="cannot reflect a zero at the origin"):
         check_phase_uniqueness_two_points([0.0, 2.0, 3.0j], 1, 2, 4)
+
+
+def _paper_zero_sets(n):
+    """Two seeded generic and two seeded negative-real zero sets of support length n."""
+    for seed in range(2):
+        rng = np.random.default_rng([seed, n, 1604])
+        yield "generic", random_zero_set(rng, n - 1)
+        yield "negative_real", [complex(z) for z in -np.exp(rng.uniform(-1.2, 1.2, n - 1))]
+
+
+def _paper_constraints(key, n):
+    """The (kind, index) pairs a criterion key reads off the signal."""
+    family, *offsets = key
+    if family == "magnitude":
+        return [("magnitude", n - 1 - offsets[0])]
+    if family == "all_moduli":
+        return [("magnitude", i) for i in range(n)]
+    if family == "phase_endpoint":
+        return [("phase", n - 1), ("phase", n - 1 - offsets[0])]
+    return [("phase", n - 1 - offset) for offset in offsets]
+
+
+@pytest.mark.parametrize("n", range(10, 14))
+def test_paper_statements_at_n10_to_13(n):
+    # Beinert & Plonka: a verdict is unique exactly when one class keeps the
+    # signal's side information; every verdict on generic zeros is unique,
+    # while negative real zeros defeat every phase criterion; the reflection
+    # is identified away exactly at the centred modulus of odd N and at two
+    # phases with l1 + l2 = N - 1
+    keys = [key for key in _criterion_keys(n)
+            if key[0] != "phase_two_points" or key[1] < key[2]]
+    compared = 0
+    for kind, zeros in _paper_zero_sets(n):
+        top_lag = float(np.prod(np.abs(zeros)))
+        x = synthesize(zeros, top_lag)
+        pairs = pairs_from_zeros(zeros, leading=top_lag)
+        solutions = {merged: enumerate_solutions(pairs, modulo_reflection=merged)
+                     for merged in (False, True)}
+        for key in keys:
+            report = _CHECKS[key[0]](zeros, *key[1:], n)
+            merged = report.equivalence_kind == ROTATION_REFLECTION
+            assert report.unique == (kind == "generic" or not key[0].startswith("phase")), \
+                (kind, key)
+            centred = n % 2 == 1 and key == ("magnitude", (n - 1) // 2)
+            symmetric = key[0] == "phase_two_points" and key[1] + key[2] == n - 1
+            assert merged == (centred or symmetric), (kind, key)
+            if report.borderline:
+                continue
+            kept = filter_by_constraints(solutions[merged],
+                                         constraints_from_signal(x, _paper_constraints(key, n)))
+            assert len(kept) >= 1, (kind, key)
+            assert report.unique == (len(kept) == 1), (kind, key, len(kept))
+            compared += 1
+    assert compared >= 3 * len(keys)

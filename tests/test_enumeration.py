@@ -322,6 +322,23 @@ def test_near_tied_peak_moduli_pick_one_pivot():
     assert len(enumerate_solutions(pairs, modulo_reflection=True)) == 2
 
 
+def test_tiny_signals_keep_their_classes():
+    # the canonical order compares relative to the peak; with an absolute
+    # floor, rows of peak modulus below about 1e-9 tied everywhere and never
+    # merged with their mirrors (16 classes modulo reflection instead of 8)
+    rng = np.random.default_rng(1024)
+    for _ in range(20):
+        zeros = random_zero_set(rng, 4)
+        for merged in (False, True):
+            unit = enumerate_solutions(pairs_from_zeros(zeros, leading=1.0), merged)
+            tiny = enumerate_solutions(pairs_from_zeros(zeros, leading=1e-24), merged)
+            assert len(tiny) == len(unit) == (8 if merged else 16)
+            assert [c.mask for c in tiny.classes] == [c.mask for c in unit.classes]
+            assert [c.reflected for c in tiny.classes] == [c.reflected for c in unit.classes]
+            for a, b in zip(tiny.classes, unit.classes):
+                assert np.abs(a.values - 1e-12 * b.values).max() <= 1e-24 * np.abs(b.values).max()
+
+
 def _sweep_zero_sets():
     rng = np.random.default_rng(2024)
     for n in range(2, 10):

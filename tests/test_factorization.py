@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import phase_toolkit.factorization as factorization
-from phase_toolkit import (DEFAULT_CONFIG, AssociatedPolynomial, RootFindingError,
+from phase_toolkit import (AssociatedPolynomial, RootFindingError,
                            Signal, associated_polynomial, autocorrelation,
                            cluster_roots, find_roots, pair_roots,
                            pairs_from_zeros, synthesize)
@@ -169,7 +169,7 @@ def _assert_matches_high_precision(coeffs_desc, found):
     for root, mult in found:
         assert mult == 1
         nearest = min(exact, key=lambda z: abs(z - root))
-        assert abs(nearest - root) <= DEFAULT_CONFIG.cluster_radius * max(1.0, abs(root))
+        assert abs(nearest - root) <= factorization._CLUSTER_RADIUS * max(1.0, abs(root))
         exact.remove(nearest)
 
 
@@ -226,7 +226,7 @@ def _top_down_outcome(top_down, leftover, derivatives, abs_derivatives):
     """The placed (root bytes, multiplicity) list in placing order, or the error and its partial."""
     found = []
     try:
-        top_down(leftover, derivatives, abs_derivatives, DEFAULT_CONFIG, found)
+        top_down(leftover, derivatives, abs_derivatives, found)
     except RootFindingError as exc:
         return "raised", str(exc), [(complex(z).real.hex(), complex(z).imag.hex(), m)
                                     for z, m in exc.partial]
@@ -247,7 +247,7 @@ def test_cluster_top_down_matches_seed_by_seed_reference(kind):
                 desc = np.asarray(coeffs)[::-1]
                 eigenvalues = np.roots(desc)
                 _, certified = factorization._certify_simple(
-                    eigenvalues, *factorization._derivatives(desc, 1), DEFAULT_CONFIG)
+                    eigenvalues, *factorization._derivatives(desc, 1))
                 leftover = eigenvalues[~certified]
                 if leftover.size == 0:
                     continue
