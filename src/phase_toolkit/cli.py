@@ -160,7 +160,8 @@ def _load_pairs(document, cfg: ToleranceConfig):
         if "coeffs" in document:
             acf = ser.acf_from_dict(document)
         elif "samples" in document:
-            acf = acf_from_intensity_samples(document["samples"], int(document["n"]), cfg)
+            n = ser._integer(document["n"])
+            acf = acf_from_intensity_samples(document["samples"], n, cfg)
         else:
             raise CliError("input needs 'values', 'coeffs' or 'samples'")
     except (ValueError, TypeError, KeyError) as exc:
@@ -200,22 +201,34 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
     classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 
-    verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": []}
-    for offset in range(n):
-        report = check_magnitude_uniqueness(zeros, offset, n, cfg)
-        verdicts["magnitude"].append({"end_offset": offset,
-                                      "report": ser.report_to_dict(report)})
-    verdicts["all_moduli"] = ser.report_to_dict(
-        check_all_moduli_uniqueness(zeros, n, cfg))
-    for offset in range(1, n - 1):
-        report = check_phase_uniqueness_endpoint(zeros, offset, n, cfg)
-        verdicts["phase_endpoint"].append({"end_offset": offset,
-                                           "report": ser.report_to_dict(report)})
-    for first, second in itertools.combinations(range(1, n - 1), 2):
-        report = check_phase_uniqueness_two_points(zeros, first, second, n, cfg)
-        verdicts["phase_two_points"].append({"end_offsets": [first, second],
-                                             "report": ser.report_to_dict(report)})
+    # (family, position, label, report), in the order the verdicts are printed
+    inner = range(1, n - 1)
+    checks = [("magnitude", {"end_offset": off}, f"modulus of x[{n - 1 - off}]",
+               check_magnitude_uniqueness(zeros, off, n, cfg)) for off in range(n)]
+    checks.append(("all_moduli", None, "all moduli", check_all_moduli_uniqueness(zeros, n, cfg)))
+    checks += [("phase_endpoint", {"end_offset": off}, f"phases of x[{n - 1}], x[{n - 1 - off}]",
+                check_phase_uniqueness_endpoint(zeros, off, n, cfg)) for off in inner]
+    checks += [("phase_two_points", {"end_offsets": [a, b]},
+                f"phases of x[{n - 1 - a}], x[{n - 1 - b}]",
+                check_phase_uniqueness_two_points(zeros, a, b, n, cfg))
+               for a, b in itertools.combinations(inner, 2)]
 
+    verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": [], "all_moduli": None}
+    lines = [f"support length: {n}",
+             f"zero pairs: {len(pairs.pairs)}"
+             f" (on circle: {sum(1 for p in pairs.pairs if p.on_circle)},"
+             f" snapped roots: {pairs.snapped})",
+             f"solution classes: {len(classes_rot)} up to rotation/shift,"
+             f" {len(classes_refl)} up to reflection as well"]
+    for family, position, label, report in checks:
+        entry = ser.report_to_dict(report)
+        if position is None:
+            verdicts[family] = entry
+        else:
+            verdicts[family].append({**position, "report": entry})
+        state = "unique" if report.unique else "ambiguous"
+        extra = " [borderline]" if report.borderline else ""
+        lines.append(f"{label}: {state} ({report.equivalence_kind}){extra}")
     document = {
         "n": n,
         "autocorrelation": ser.acf_to_dict(acf),
@@ -224,30 +237,6 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
         "class_count_modulo_reflection": len(classes_refl),
         "criteria": verdicts,
     }
-
-    lines = [f"support length: {n}",
-             f"zero pairs: {len(pairs.pairs)}"
-             f" (on circle: {sum(1 for p in pairs.pairs if p.on_circle)},"
-             f" snapped roots: {pairs.snapped})",
-             f"solution classes: {len(classes_rot)} up to rotation/shift,"
-             f" {len(classes_refl)} up to reflection as well"]
-
-    def verdict_line(label, report):
-        state = "unique" if report["unique"] else "ambiguous"
-        extra = " [borderline]" if report["borderline"] else ""
-        return f"{label}: {state} ({report['equivalence']}){extra}"
-
-    for entry in verdicts["magnitude"]:
-        lines.append(verdict_line(
-            f"modulus of x[{n - 1 - entry['end_offset']}]", entry["report"]))
-    lines.append(verdict_line("all moduli", verdicts["all_moduli"]))
-    for entry in verdicts["phase_endpoint"]:
-        lines.append(verdict_line(
-            f"phases of x[{n - 1}], x[{n - 1 - entry['end_offset']}]", entry["report"]))
-    for entry in verdicts["phase_two_points"]:
-        first, second = entry["end_offsets"]
-        lines.append(verdict_line(
-            f"phases of x[{n - 1 - first}], x[{n - 1 - second}]", entry["report"]))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,39 @@ def random_zero_set(rng, count, min_gap=0.15):
             continue
         zeros.append(complex(z))
     return zeros
+
+
+def reference_dumps(value) -> str:
+    """The per-value JSON writer the one-pass `dumps` replaced: each complex leaf
+    expanded into `[re, im]` lists, each float formatted by its own call."""
+    if isinstance(value, (complex, np.complexfloating)):
+        value = [value.real, value.imag]
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and np.iscomplexobj(value):
+        value = [[z.real, z.imag] for z in value.tolist()]
+    if isinstance(value, dict):
+        parts = (f"{json.dumps(str(k))}: {reference_dumps(v)}" for k, v in value.items())
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_dumps(v) for v in value) + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_csv(signals) -> str:
+    """The per-value CSV writer: one `re,im` line per entry, a blank line between signals."""
+    def line(z):
+        return f"{format(float(z.real), '.17g')},{format(float(z.imag), '.17g')}\n"
+
+    return "\n".join("".join(map(line, s.values)) for s in signals)
 
 
 def probe_grid(count=128):

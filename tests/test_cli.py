@@ -387,6 +387,35 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, command, document):
     assert "finite" in captured.err
 
 
+def _samples_of(values, count=7):
+    acf = autocorrelation(Signal(0, values))
+    w = np.linspace(-np.pi, np.pi, count, endpoint=False)
+    return [[float(a), float(b)] for a, b in zip(w, acf.intensity(w))]
+
+
+@pytest.mark.parametrize("command, document", [
+    ("recover", [{"kind": "magnitude", "index": 0.9, "value": 1.0}]),
+    ("recover", [{"kind": "magnitude", "index": True, "value": 2.0}]),
+    ("enumerate", {"offset": 2.9, "values": [[1.0, 0.0], [2.0, 0.0]]}),
+    ("enumerate", {"n": 2.5, "coeffs": [[2, 0], [5, 0], [2, 0]]}),
+    ("enumerate", {"n": 2.5, "samples": _samples_of([1.0, 2.0])}),
+], ids=["index-fraction", "index-bool", "offset-fraction", "coeffs-n-fraction",
+        "samples-n-fraction"])
+def test_non_integer_integers_are_rejected(tmp_path, capsys, command, document):
+    # int() used to truncate each of these and run on the truncated value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    if command == "recover":
+        argv = ["recover", _write_acf(tmp_path / "acf.json", [1.0, 2.0]), str(path)]
+    else:
+        argv = ["enumerate", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "expected an integer" in captured.err
+
+
 def test_counterexample_phase_rejects_complex_zeros(capsys):
     rc = main(["counterexample", "phase", "--zeros=-2+0j,-3"])
     captured = capsys.readouterr()
