@@ -21,6 +21,7 @@ _CLUSTER_RADIUS = 1e-7  # base gathering radius of multiple roots, relative to m
 _RESIDUAL_TOL = 1e-6  # P or a derivative vanishes below this fraction of its evaluation bound
 _MAX_NEWTON_ITER = 60  # iteration cap of every Newton polish
 _PAIR_TOL = 1e-8  # reflected-pair matching band, |z1 * conj(z2) - 1|
+_NONZERO = 1e4 * _EPS  # P or a derivative is nonzero above this fraction of its evaluation bound
 
 
 class RootFindingError(ValueError):
@@ -135,7 +136,7 @@ def _multiplicity_consistent(derivatives, abs_derivatives, z, mult: int):
             return consistent
     if mult < len(derivatives):
         bound = _evaluation_bound(abs_derivatives[mult], mag)
-        consistent &= np.abs(np.polyval(derivatives[mult], z)) > 1e4 * _EPS * bound
+        consistent &= np.abs(np.polyval(derivatives[mult], z)) > _NONZERO * bound
     return consistent
 
 
@@ -172,6 +173,8 @@ def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives):
     polished points stay apart.  The error estimate is what rejects the
     members of a root of multiplicity three or more: their eigenvalues
     scatter far beyond the radius, and P is at rounding level there.
+    The last two tests are `_multiplicity_consistent` at multiplicity 1;
+    B(|z|), B'(|z|), P(z) and P'(z) are each evaluated once for all three.
     """
     radius = _gather_radius(2)
     candidates = np.flatnonzero(_isolated(eigenvalues, radius))
@@ -179,10 +182,11 @@ def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives):
                                _MAX_NEWTON_ITER, abs_derivatives[0])
     candidates, roots = candidates[converged], roots[converged]
     mag = np.abs(roots)
-    error = _EPS * _evaluation_bound(abs_derivatives[0], mag)
-    keep = error <= _CLUSTER_RADIUS * np.maximum(1.0, mag) * np.abs(
-        np.polyval(derivatives[1], roots))
-    keep &= _multiplicity_consistent(derivatives, abs_derivatives, roots, 1)
+    bound = _evaluation_bound(abs_derivatives[0], mag)
+    slope = np.abs(np.polyval(derivatives[1], roots))
+    keep = _EPS * bound <= _CLUSTER_RADIUS * np.maximum(1.0, mag) * slope
+    keep &= np.abs(np.polyval(derivatives[0], roots)) <= _RESIDUAL_TOL * bound
+    keep &= slope > _NONZERO * _evaluation_bound(abs_derivatives[1], mag)
     candidates, roots = candidates[keep], roots[keep]
     apart = _isolated(roots, radius)
     certified = np.zeros(eigenvalues.size, dtype=bool)

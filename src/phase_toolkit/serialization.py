@@ -111,7 +111,7 @@ def constraint_to_dict(c: Constraint) -> dict:
 def constraint_from_dict(data: dict) -> Constraint:
     try:
         return Constraint(str(data["kind"]), _integer(data["index"]), float(data["value"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed constraint document: {exc}") from exc
 
 

@@ -16,6 +16,10 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 
 _TRIM_THRESHOLD = 1e-12
 """Boundary entries below this times the peak modulus are trimmed from a support."""
+_PROBE_COUNT = 512
+_PROBE_START = 0.001
+"""A fitted intensity must be non-negative on the `_PROBE_COUNT` equispaced
+frequencies -pi + `_PROBE_START` + 2 pi j / `_PROBE_COUNT`."""
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -78,6 +82,8 @@ class Autocorrelation:
         if arr.size % 2 == 0:
             raise ValueError("autocorrelation needs 2N-1 coefficients")
         object.__setattr__(self, "coeffs", _readonly(arr))
+        if not np.isfinite(arr).all():
+            raise ValueError("autocorrelation coefficients must be finite")
         scale = float(np.abs(arr).max())
         band = DEFAULT_CONFIG.tol(scale)
         center = arr[arr.size // 2]
@@ -244,6 +250,21 @@ def form_distance(a, b) -> float:
     return float(np.abs(va - vb).max())
 
 
+def _probe_intensity(coeffs: np.ndarray) -> np.ndarray:
+    """Intensity of 2N-1 autocorrelation coefficients on the probe grid, by one FFT.
+
+    At w_j = w0 + 2 pi j / `_PROBE_COUNT`, with w0 = -pi + `_PROBE_START`, the
+    sum of a[k] e^{-i w_j k} is bin j of the FFT of the terms a[k] e^{-i w0 k},
+    each added into bin k mod `_PROBE_COUNT`, so more lags than bins still fold.
+    """
+    n = (coeffs.size + 1) // 2
+    lags = np.arange(1 - n, n)
+    start = -np.pi + _PROBE_START
+    bins = np.zeros(_PROBE_COUNT, dtype=np.complex128)
+    np.add.at(bins, lags % _PROBE_COUNT, coeffs * np.exp(-1j * start * lags))
+    return np.fft.fft(bins).real
+
+
 def _wrap_angle(theta: np.ndarray) -> np.ndarray:
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
@@ -261,8 +282,8 @@ def acf_from_intensity_samples(samples, support_len: int,
     A full equispaced grid is inverted directly; anything else goes through
     a least-squares fit whose residual doubles as a consistency check when
     more than 2N-1 samples are supplied.  The fitted trigonometric
-    polynomial must be non-negative, otherwise the samples do not describe
-    a Fourier intensity.
+    polynomial must be non-negative on 512 equispaced frequencies, otherwise
+    the samples do not describe a Fourier intensity.
     """
     n = int(support_len)
     if n < 1:
@@ -317,7 +338,6 @@ def acf_from_intensity_samples(samples, support_len: int,
     misfit = float(np.abs(acf.intensity(omegas) - intensities).max())
     if misfit > cfg.tol(scale) * 100.0:
         raise ValueError("samples are inconsistent with a bandlimited intensity")
-    probes = np.linspace(-np.pi, np.pi, 512, endpoint=False) + 0.001
-    if float(np.min(acf.intensity(probes))) < -cfg.tol(scale) * 10.0:
+    if float(np.min(_probe_intensity(acf.coeffs))) < -cfg.tol(scale) * 10.0:
         raise ValueError("not a valid intensity: interpolant takes negative values")
     return acf

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,31 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, command, document):
     captured = capsys.readouterr()
     assert rc == 2
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_overflowing_autocorrelation_is_rejected(tmp_path, capsys, command):
+    # finite values whose autocorrelation overflows to inf
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"offset": 0, "values": [[1e160, 0], [2e160, 0], [1e160, 5e159]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: autocorrelation coefficients must be finite" in captured.err
+    assert caught == []
+
+
+def test_unparsable_constraint_value_is_malformed(tmp_path, capsys):
+    path = _write_constraints(tmp_path / "c.json",
+                              [{"kind": "magnitude", "index": 0, "value": "abc"}])
+    rc = main(["recover", _write_acf(tmp_path / "acf.json", [1.0, 2.0]), path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: malformed constraint document:" in captured.err
 
 
 def _samples_of(values, count=7):

@@ -5,6 +5,7 @@ from phase_toolkit import (Autocorrelation, Signal, acf_from_intensity_samples,
                            autocorrelation, canonicalize, conjugate_reflect,
                            form_distance, fourier_intensity, fourier_transform,
                            rotate, shift)
+from phase_toolkit.signals import _probe_intensity
 
 from helpers import probe_grid, random_signal
 
@@ -60,6 +61,8 @@ def test_autocorrelation_validation():
         Autocorrelation([1.0, 1j, 1.0])  # center not real
     with pytest.raises(ValueError):
         Autocorrelation([1.0, 2.0, 3.0])  # not conjugate symmetric
+    with pytest.raises(ValueError, match="must be finite"):
+        Autocorrelation([np.inf, 1.0, np.inf])  # inf - inf would pass the symmetry test
 
 
 def test_fourier_transform_respects_offset():
@@ -222,6 +225,26 @@ def test_acf_from_samples_negative_rejected():
     samples = [(w[0], 1.0), (w[1], -0.5), (w[2], 1.0)]
     with pytest.raises(ValueError, match="intensity"):
         acf_from_intensity_samples(samples, 2)
+
+
+def test_acf_from_samples_negative_interpolant_rejected():
+    # every sample of 1 + 1.8 cos w is at least 0.41, but the fitted
+    # interpolant dips to -0.8 at w = pi
+    w = np.array([-1.9, -0.7, 0.4, 1.5])
+    samples = list(zip(w, 1.0 + 1.8 * np.cos(w)))
+    with pytest.raises(ValueError, match="interpolant takes negative values"):
+        acf_from_intensity_samples(samples, 2)
+
+
+def test_probe_intensity_matches_direct_evaluation():
+    # N = 300 has 599 lags, more than the 512 bins they fold into
+    rng = np.random.default_rng(512)
+    grid = np.linspace(-np.pi, np.pi, 512, endpoint=False) + 0.001
+    for n in [*range(1, 41), 300]:
+        acf = autocorrelation(Signal(0, random_signal(rng, n)))
+        want = acf.intensity(grid)
+        got = _probe_intensity(acf.coeffs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(acf.coeffs).sum(), n
 
 
 def test_acf_from_samples_inconsistent_rejected():
