@@ -21,7 +21,8 @@ from .enumeration import (Constraint, SolutionClass, SolutionSet,
                           synthesize)
 from .factorization import (AssociatedPolynomial, RootFindingError, ZeroPair,
                             ZeroPairSet, associated_polynomial, cluster_roots,
-                            find_roots, pair_roots, pairs_from_zeros)
+                            find_roots, pair_roots, pairs_from_zeros,
+                            zero_pairs)
 from .signals import (Autocorrelation, CanonicalForm, Signal,
                       acf_from_intensity_samples, autocorrelation, canonicalize,
                       conjugate_reflect, form_distance, fourier_intensity,
@@ -43,5 +44,5 @@ __all__ = [
     "find_roots", "form_distance", "fourier_intensity", "fourier_transform",
     "magnitude_counterexample", "modified_zero_set", "pair_roots",
     "pairs_from_zeros", "phase_counterexample", "recover", "rotate", "shift",
-    "synthesize", "verify_counterexample",
+    "synthesize", "verify_counterexample", "zero_pairs",
 ]

@@ -30,9 +30,8 @@ from .counterexamples import (magnitude_counterexample, phase_counterexample,
 from .criteria import (check_all_moduli_uniqueness, check_magnitude_uniqueness,
                        check_phase_uniqueness_endpoint,
                        check_phase_uniqueness_two_points)
-from .enumeration import enumerate_solutions, filter_by_constraints
-from .factorization import (associated_polynomial, cluster_roots, find_roots,
-                            pair_roots, pairs_from_zeros)
+from .enumeration import enumerate_solutions, recover
+from .factorization import cluster_roots, pairs_from_zeros
 from .signals import acf_from_intensity_samples, autocorrelation
 
 EXIT_OK = 0
@@ -140,34 +139,21 @@ def _read_json(path: str):
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _signal_pairs(signal, cfg: ToleranceConfig):
-    """A signal's own N-1 zeros, repeated by multiplicity, and the pairs they fix."""
-    zeros = []
-    for root, mult in cluster_roots(signal.values):
-        zeros.extend([root] * mult)
-    leading = autocorrelation(signal)[signal.support_len - 1]
-    return zeros, pairs_from_zeros(zeros, leading=leading, cfg=cfg)
-
-
-def _load_pairs(document, cfg: ToleranceConfig):
-    """Zero pairs of a document: a signal's own zeros, or P's roots for an
-    autocorrelation or sampled intensity values, which hold only the intensity."""
+def _read_source(document, cfg: ToleranceConfig):
+    """The `Signal` or `Autocorrelation` a document describes; sampled
+    intensity values are fitted by `acf_from_intensity_samples`."""
     if not isinstance(document, dict):
         raise CliError("expected a JSON object describing the input")
     try:
         if "values" in document:
-            return _signal_pairs(ser.signal_from_dict(document), cfg)[1]
+            return ser.signal_from_dict(document)
         if "coeffs" in document:
-            acf = ser.acf_from_dict(document)
-        elif "samples" in document:
-            n = ser._integer(document["n"])
-            acf = acf_from_intensity_samples(document["samples"], n, cfg)
-        else:
-            raise CliError("input needs 'values', 'coeffs' or 'samples'")
+            return ser.acf_from_dict(document)
+        if "samples" in document:
+            return acf_from_intensity_samples(document["samples"], ser._integer(document["n"]), cfg)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(str(exc)) from exc
-    poly = associated_polynomial(acf, cfg)
-    return pair_roots(find_roots(poly), cfg, leading=poly.leading)
+    raise CliError("input needs 'values', 'coeffs' or 'samples'")
 
 
 def _write_result(text: str, args) -> None:
@@ -197,7 +183,8 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     signal = ser.signal_from_dict(_read_json(args.signal_file))
     n = signal.support_len
     acf = autocorrelation(signal)
-    zeros, pairs = _signal_pairs(signal, cfg)
+    zeros = [root for root, mult in cluster_roots(signal.values) for _ in range(mult)]
+    pairs = pairs_from_zeros(zeros, acf[n - 1], cfg)
     classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
     classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
 
@@ -246,11 +233,10 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
 
 def _cmd_recover(args, cfg: ToleranceConfig) -> int:
     """`recover`; `enumerate` is the same pipeline without constraints or verdict codes."""
-    pairs = _load_pairs(_read_json(args.input_file), cfg)
+    source = _read_source(_read_json(args.input_file), cfg)
     constraints = (() if args.command == "enumerate"
                    else ser.constraints_from_list(_read_json(args.constraints_file)))
-    solutions = filter_by_constraints(
-        enumerate_solutions(pairs, args.modulo_reflection, cfg), constraints, cfg)
+    solutions = recover(source, constraints, cfg, args.modulo_reflection)
     _write_result(_solution_text(solutions, args), args)
     if args.command == "enumerate" or len(solutions) == 1:
         return EXIT_OK

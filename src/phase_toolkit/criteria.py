@@ -27,8 +27,7 @@ ROTATION = "rotation"
 ROTATION_REFLECTION = "rotation_reflection"
 
 
-def _zeros_of(source) -> tuple:
-    zeros = getattr(source, "zeros", source)
+def _zeros_of(zeros) -> tuple:
     return tuple(complex(z) for z in zeros)
 
 

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .factorization import (ZeroPairSet, associated_polynomial, find_roots,
-                            pair_roots)
-from .signals import (Autocorrelation, Signal, _canonical_rows,
-                      _support_bounds, _wrap_angle)
+from .factorization import ZeroPairSet, zero_pairs
+from .signals import Signal, _canonical_rows, _support_bounds, _wrap_angle
 
 _DEDUPE_TOL = 1e-7  # canonical-form distance, relative to the larger peak, of one class
 
@@ -308,12 +306,9 @@ def filter_by_constraints(solutions: SolutionSet, constraints,
                        solutions.near_collisions)
 
 
-def recover(acf: Autocorrelation, constraints=(),
-            cfg: ToleranceConfig = DEFAULT_CONFIG,
+def recover(source, constraints=(), cfg: ToleranceConfig = DEFAULT_CONFIG,
             modulo_reflection: bool = False) -> SolutionSet:
-    """Every solution class of an autocorrelation, filtered by constraints."""
-    poly = associated_polynomial(acf, cfg)
-    roots = find_roots(poly)
-    pairs = pair_roots(roots, cfg, leading=poly.leading)
-    solutions = enumerate_solutions(pairs, modulo_reflection=modulo_reflection, cfg=cfg)
+    """Every solution class of a `Signal`'s or an `Autocorrelation`'s intensity,
+    filtered by constraints; `zero_pairs` decides which zeros pair the input."""
+    solutions = enumerate_solutions(zero_pairs(source, cfg), modulo_reflection, cfg)
     return filter_by_constraints(solutions, constraints, cfg)

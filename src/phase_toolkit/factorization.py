@@ -3,8 +3,8 @@
 The intensity of a signal with support length N is, up to a phase factor,
 a polynomial of degree 2N-2 whose zeros occur in pairs reflected across
 the unit circle.  This module builds that polynomial, finds its zeros with
-multiplicities, and groups them into pairs; every later stage works with
-the pairs only.
+multiplicities, and groups them into pairs (`zero_pairs`, from a signal or
+an autocorrelation); every later stage works with the pairs only.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .signals import _TRIM_THRESHOLD, Autocorrelation, _as_complex_vector, _readonly
+from .signals import (_TRIM_THRESHOLD, Autocorrelation, Signal, _as_complex_vector,
+                      _readonly, autocorrelation)
 
 _EPS = float(np.finfo(float).eps)
 _CLUSTER_RADIUS = 1e-7  # base gathering radius of multiple roots, relative to max(1, |z|)
@@ -254,9 +255,11 @@ def cluster_roots(coeffs_ascending):
     if nonzero.size == 0:
         raise ValueError("zero polynomial has no well-defined roots")
     asc = asc[: nonzero[-1] + 1]
-    degree = asc.size - 1
-    if degree == 0:
+    if asc.size == 1:
         return []
+    # an exact power-of-two scale to max|a| in [0.5, 1) keeps P and its bounds finite
+    asc = np.ldexp(np.ascontiguousarray(asc).view(float),
+                   -np.frexp(np.abs(asc).max())[1]).view(complex)
 
     desc = asc[::-1]
     eigenvalues = np.roots(desc)
@@ -415,3 +418,16 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
     pairs.sort(key=lambda p: _sort_key(p.zero))
     snapped = 2 * sum(mult for _, mult, circled in groups if circled)
     return ZeroPairSet(tuple(pairs), complex(leading), snapped)
+
+
+def zero_pairs(source, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ZeroPairSet:
+    """Reflected zero pairs of a `Signal`, from its own N-1 zeros, or of an
+    `Autocorrelation`, from the 2N-2 roots of its associated polynomial.
+    A signal's autocorrelation gives the leading coefficient, and its
+    finiteness check rejects a signal whose intensity overflows."""
+    if isinstance(source, Signal):
+        zeros = [root for root, mult in cluster_roots(source.values) for _ in range(mult)]
+        leading = autocorrelation(source)[source.support_len - 1]
+        return pairs_from_zeros(zeros, leading, cfg)
+    poly = associated_polynomial(source, cfg)
+    return pair_roots(find_roots(poly), cfg, leading=poly.leading)

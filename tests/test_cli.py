@@ -8,9 +8,10 @@ import pytest
 from phase_toolkit import (Signal, autocorrelation, canonicalize,
                            enumerate_solutions, form_distance, fourier_intensity,
                            magnitude_counterexample, pairs_from_zeros,
-                           phase_counterexample, synthesize)
+                           phase_counterexample, recover, synthesize)
 from phase_toolkit.cli import _verification_probes, main
-from phase_toolkit.serialization import dumps, signal_from_dict, signal_to_dict
+from phase_toolkit.serialization import (constraints_from_list, dumps, signal_from_dict,
+                                         signal_to_dict, solution_set_to_dict)
 
 from helpers import probe_grid, reference_verify
 
@@ -401,6 +402,43 @@ def test_overflowing_autocorrelation_is_rejected(tmp_path, capsys, command):
     assert captured.out == ""
     assert "error: autocorrelation coefficients must be finite" in captured.err
     assert caught == []
+
+
+@pytest.mark.parametrize("values, classes", [
+    (None, 2), ([6e153, 3e153, 1e153], 4), ([5e153, 4e153j, 2e153], 4),
+], ids=["coeffs-1e308", "real-6e153", "complex-5e153"])
+def test_autocorrelations_near_the_float_limit_are_factored(tmp_path, capsys, values, classes):
+    # finite intensities whose polynomial values overflow unless P is scaled first
+    path = tmp_path / "big.json"
+    if values is None:
+        path.write_text(json.dumps({"n": 2, "coeffs": [[4e307, 0], [1e308, 0], [4e307, 0]]}))
+    else:
+        _write_acf(path, values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["enumerate", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, caught) == (0, "", [])
+    assert len(json.loads(captured.out)["classes"]) == classes
+
+
+@pytest.mark.parametrize("modulo_reflection", [False, True])
+def test_signal_documents_run_the_library_recover(tmp_path, capsys, modulo_reflection):
+    values = np.random.default_rng(4242).normal(size=6) + 1j
+    path = _write_signal(tmp_path / "sig.json", values)
+    signal = signal_from_dict(json.loads((tmp_path / "sig.json").read_text()))
+    flag = ["--modulo-reflection"] if modulo_reflection else []
+    items = [{"kind": "phase", "index": 2, "value": float(np.angle(values[2]))}]
+    for argv, constraints in ((["enumerate", path], []),
+                              (["recover", path, _write_constraints(tmp_path / "c.json", items)],
+                               items)):
+        rc = main(argv + flag)
+        want = recover(signal, constraints_from_list(constraints),
+                       modulo_reflection=modulo_reflection)
+        assert capsys.readouterr().out == dumps(solution_set_to_dict(want)) + "\n"
+        # one interior phase leaves several classes, so `recover` exits 4
+        assert len(want) > 1
+        assert rc == (0 if argv[0] == "enumerate" else 4)
 
 
 def test_unparsable_constraint_value_is_malformed(tmp_path, capsys):

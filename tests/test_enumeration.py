@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phase_toolkit import (Constraint, Signal, SolutionSet, autocorrelation,
-                           canonicalize, enumerate_solutions,
+                           canonicalize, cluster_roots, enumerate_solutions,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, recover,
                            synthesize)
@@ -429,3 +429,35 @@ def test_enumeration_matches_reference_on_hard_geometries(zeros, modulo_reflecti
     pairs = pairs_from_zeros(zeros, leading=1.0)
     assert_same_solutions(enumerate_solutions(pairs, modulo_reflection),
                           reference_enumeration(pairs, modulo_reflection), pairs)
+
+
+def _route_zero_sets(rng):
+    """Seeded generic, repeated and on-circle zero sets, with their expected structure."""
+    for n in range(3, 9):
+        yield random_zero_set(rng, n - 1), 1, 0
+    for mult in (2, 3, 2):
+        zeros = random_zero_set(rng, 2)
+        yield zeros + [zeros[0]] * (mult - 1), mult, 0
+    for circled in (1, 2, 3):
+        angles = rng.uniform(-np.pi, np.pi, size=circled)
+        yield random_zero_set(rng, 3) + [cmath.exp(1j * a) for a in angles], 1, circled
+
+
+def test_recover_of_a_signal_pairs_its_own_zeros():
+    rng = np.random.default_rng(909)
+    for zeros, mult, circled in _route_zero_sets(rng):
+        x = synthesize(zeros, rng.uniform(0.5, 2.0), rotation=rng.uniform(-np.pi, np.pi))
+        own = [root for root, m in cluster_roots(x.values) for _ in range(m)]
+        pairs = pairs_from_zeros(own, autocorrelation(x)[x.support_len - 1])
+        assert pairs.support_len == len(zeros) + 1
+        assert max(p.multiplicity for p in pairs.pairs) == mult
+        assert sum(p.on_circle for p in pairs.pairs) == circled
+        targets = [("magnitude", int(rng.integers(x.support_len))),
+                   ("phase", int(rng.integers(x.support_len)))]
+        for cons in ((), constraints_from_signal(x, targets[:1]),
+                     constraints_from_signal(x, targets)):
+            for modulo_reflection in (False, True):
+                got = recover(x, cons, modulo_reflection=modulo_reflection)
+                want = filter_by_constraints(enumerate_solutions(pairs, modulo_reflection), cons)
+                assert len(got) >= 1
+                assert_same_solutions(got, want, pairs)

@@ -5,7 +5,7 @@ import phase_toolkit.factorization as factorization
 from phase_toolkit import (AssociatedPolynomial, RootFindingError,
                            Signal, associated_polynomial, autocorrelation,
                            cluster_roots, find_roots, pair_roots,
-                           pairs_from_zeros, synthesize)
+                           pairs_from_zeros, synthesize, zero_pairs)
 
 from helpers import random_signal, random_zero_set, reference_cluster_top_down
 
@@ -385,3 +385,29 @@ def test_pairs_from_zeros_on_circle():
 def test_root_finding_error_keeps_partial():
     err = RootFindingError("nope", partial=[(1.0 + 0j, 1)])
     assert err.partial == [(1.0 + 0j, 1)]
+
+
+def _pair_bits(pairs):
+    def bits(z):
+        return (z.real.hex(), z.imag.hex())
+    return ([(bits(p.zero), bits(p.reflected), p.on_circle, p.multiplicity) for p in pairs.pairs],
+            bits(pairs.leading), pairs.snapped)
+
+
+def test_zero_pairs_of_an_autocorrelation_pairs_the_roots_of_p():
+    rng = np.random.default_rng(606)
+    signals = [Signal(0, random_signal(rng, n, complex_valued=bool(n % 2))) for n in range(2, 10)]
+    zero_sets = [random_zero_set(rng, 3) + [np.exp(1j * a) for a in rng.uniform(-3, 3, 2)],
+                 [2.0, 2.0, -1.5j, 0.5 + 2j], [-2.0, -2.0, -2.0, 1.5j]]
+    signals += [synthesize(zeros, 1.0) for zeros in zero_sets]
+    for x in signals:
+        acf = autocorrelation(x)
+        poly = associated_polynomial(acf)
+        try:
+            want = _pair_bits(pair_roots(find_roots(poly), leading=poly.leading))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as caught:
+                zero_pairs(acf)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _pair_bits(zero_pairs(acf)) == want
