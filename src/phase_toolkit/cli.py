@@ -200,32 +200,34 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
                 check_phase_uniqueness_two_points(zeros, a, b, n, cfg))
                for a, b in itertools.combinations(inner, 2)]
 
-    verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": [], "all_moduli": None}
     lines = [f"support length: {n}",
              f"zero pairs: {len(pairs.pairs)}"
              f" (on circle: {sum(1 for p in pairs.pairs if p.on_circle)},"
              f" snapped roots: {pairs.snapped})",
              f"solution classes: {len(classes_rot)} up to rotation/shift,"
              f" {len(classes_refl)} up to reflection as well"]
-    for family, position, label, report in checks:
-        entry = ser.report_to_dict(report)
-        if position is None:
-            verdicts[family] = entry
-        else:
-            verdicts[family].append({**position, "report": entry})
+    for _, _, label, report in checks:
         state = "unique" if report.unique else "ambiguous"
         extra = " [borderline]" if report.borderline else ""
         lines.append(f"{label}: {state} ({report.equivalence_kind}){extra}")
-    document = {
-        "n": n,
-        "autocorrelation": ser.acf_to_dict(acf),
-        "zero_pairs": ser.zero_pairs_to_dict(pairs),
-        "class_count": len(classes_rot),
-        "class_count_modulo_reflection": len(classes_refl),
-        "criteria": verdicts,
-    }
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
+        verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": [],
+                    "all_moduli": None}
+        for family, position, _, report in checks:
+            entry = ser.report_to_dict(report)
+            if position is None:
+                verdicts[family] = entry
+            else:
+                verdicts[family].append({**position, "report": entry})
+        document = {
+            "n": n,
+            "autocorrelation": ser.acf_to_dict(acf),
+            "zero_pairs": ser.zero_pairs_to_dict(pairs),
+            "class_count": len(classes_rot),
+            "class_count_modulo_reflection": len(classes_refl),
+            "criteria": verdicts,
+        }
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(ser.dumps(document))
     return EXIT_OK

@@ -201,8 +201,11 @@ def _checked_zeros(zeros, support_len: int):
 def _family_rows(family: SubsetFamily):
     """Admissible rows, the reflection table, and its reference row (column 0 is w)."""
     rows = family._admitted()
-    eligible, _, bits, _, _, table = _selection(family.zeros, family.cfg)
-    if bits[rows][:, [family.zeros[p] == 0 for p in eligible]].any():
+    eligible, *_, table = _selection(family.zeros, family.cfg)
+    # exactly when an admitted row reflects the origin: it pairs with nothing, so
+    # {origin} and each {origin, p} are admissible and a flag drops one row; an
+    # origin eligible alone has one row, the free row
+    if rows.size and any(family.zeros[p] == 0 for p in eligible):
         raise ValueError("cannot reflect a zero at the origin")
     return rows, table, table[0]
 

@@ -148,27 +148,6 @@ def _selection_table(slots):
     return rows, norms
 
 
-def _replay(forms: np.ndarray, peaks: np.ndarray, rows: np.ndarray, kept: np.ndarray) -> int:
-    """Greedy dedupe pass over `rows`, given in first-seen order.
-
-    Each row is compared with the representatives before it.  Clears `kept`
-    for merged rows and returns the near-collision count.
-    """
-    reps = rows[:1]
-    near = 0
-    for i in rows[1:].tolist():
-        gap = np.abs(forms[reps] - forms[i]).max(axis=1)
-        scale = np.maximum(peaks[i], peaks[reps])
-        merges = np.flatnonzero(gap <= _DEDUPE_TOL * scale)
-        checked = merges[0] if merges.size else reps.size
-        near += int(np.count_nonzero(gap[:checked] <= 10.0 * _DEDUPE_TOL * scale[:checked]))
-        if merges.size:
-            kept[i] = False
-        else:
-            reps = np.append(reps, i)
-    return near
-
-
 def _dedupe(forms: np.ndarray):
     """First-seen greedy dedupe of equal-length canonical forms.
 
@@ -179,7 +158,9 @@ def _dedupe(forms: np.ndarray):
     one that spreads widest) and cut into runs wherever neighbouring keys
     differ by more than ten times the tolerance at the largest peak.  Forms
     in different runs differ by more than that in this column, so they can
-    neither merge nor count, and the greedy pass replays within each run.
+    neither merge nor count.  Step k of the greedy pass compares the k-th
+    member, in first-seen order, of every run longer than k with the
+    representatives of its run so far, all runs at once.
     Returns the indices of the representatives and the near-collision count.
     """
     peaks = np.abs(forms).max(axis=1)
@@ -188,21 +169,33 @@ def _dedupe(forms: np.ndarray):
     order = np.argsort(keys, kind="stable")
     # widened by a relative 1e-9 so that rounding in the keys cannot split a close pair
     reach = near_tol * float(peaks.max()) * (1.0 + 1e-9)
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-np.inf) > reach)
+    cuts = np.diff(keys[order], prepend=-np.inf) > reach
+    # every run's members in first-seen order: sorted by run, then by index
+    members = np.sort(np.cumsum(cuts) * forms.shape[0] + order) % forms.shape[0]
+    starts = np.flatnonzero(cuts)
     sizes = np.diff(starts, append=forms.shape[0])
+    # longest runs first, so the runs longer than k are the first counts[k]
+    starts, counts = starts[np.argsort(-sizes)], starts.size - np.cumsum(np.bincount(sizes))
     kept = np.ones(forms.shape[0], dtype=bool)
     near = 0
-    # a run of two, such as a form and its mirror image: the later one only
-    # checks the earlier one, so all such runs are settled at once
-    twos = np.sort(order[starts[sizes == 2, None] + np.arange(2)], axis=1)
-    earlier, later = twos[:, 0], twos[:, 1]
-    gap = np.abs(forms[earlier] - forms[later]).max(axis=1)
-    scale = np.maximum(peaks[later], peaks[earlier])
-    merges = gap <= _DEDUPE_TOL * scale
-    kept[later[merges]] = False
-    near += int(np.count_nonzero(~merges & (gap <= near_tol * scale)))
-    for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
-        near += _replay(forms, peaks, np.sort(order[start:start + size]), kept)
+    # representatives in the order they were kept, each with the rank of its run
+    reps, owner = members[starts], np.arange(starts.size)
+    for k in range(1, counts.size - 1):
+        live = owner < counts[k]
+        reps, owner = reps[live], owner[live]
+        step = members[starts[:counts[k]] + k]
+        latest = step[owner]
+        gap = np.abs(forms[reps] - forms[latest]).max(axis=1)
+        scale = np.maximum(peaks[latest], peaks[reps])
+        merges = np.flatnonzero(gap <= _DEDUPE_TOL * scale)
+        checked = np.full(step.size, reps.size)
+        np.minimum.at(checked, owner[merges], merges)
+        near += int(np.count_nonzero((gap <= near_tol * scale)
+                                     & (np.arange(reps.size) < checked[owner])))
+        merged = checked < reps.size
+        kept[step[merged]] = False
+        reps = np.append(reps, step[~merged])
+        owner = np.append(owner, np.flatnonzero(~merged))
     return np.flatnonzero(kept), near
 
 
@@ -218,7 +211,7 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     selection signal at once (row i is the i-th choice in `itertools.product`
     order); rows are trimmed as `Signal` trims them and canonicalised
     together; and the dedupe sorts the forms of each support length by one
-    column and replays the greedy pass only within runs of near-equal keys.
+    column and runs the greedy pass only within runs of near-equal keys.
     The result equals a per-selection `canonicalize(synthesize(...))` loop
     with a pairwise `form_distance` dedupe, including `near_collisions`.
     """

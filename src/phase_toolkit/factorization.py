@@ -83,8 +83,7 @@ def _evaluation_bound(desc_abs: np.ndarray, magnitude):
     return np.maximum(np.polyval(desc_abs, magnitude), desc_abs.max())
 
 
-def _newton(desc: np.ndarray, deriv: np.ndarray, starts, max_iter: int,
-            desc_abs: np.ndarray | None = None):
+def _newton(desc: np.ndarray, deriv: np.ndarray, starts, desc_abs: np.ndarray | None = None):
     """Newton iteration from every start at once; returns (points, converged).
 
     An iterate stops once its step is at most 4 eps |z|, or where its slope
@@ -92,7 +91,7 @@ def _newton(desc: np.ndarray, deriv: np.ndarray, starts, max_iter: int,
     also stops once the step is no larger than the evaluation noise
     eps * B(|z|) / |P'(z)|: below that floor the step is rounding noise, and
     without this rule iterates near clustered or near-circle zeros wander
-    until max_iter.  B is taken at the start, which Newton's method leaves
+    until `_MAX_NEWTON_ITER`.  B is taken at the start, which Newton's method leaves
     only by a tiny step on the iterates that converge.
     """
     z = np.array(starts, dtype=complex)
@@ -100,7 +99,7 @@ def _newton(desc: np.ndarray, deriv: np.ndarray, starts, max_iter: int,
              else _EPS * _evaluation_bound(desc_abs, np.abs(z)))
     converged = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         if active.size == 0:
             break
         w = z[active]
@@ -180,7 +179,7 @@ def _certify_simple(eigenvalues: np.ndarray, derivatives, abs_derivatives):
     radius = _gather_radius(2)
     candidates = np.flatnonzero(_isolated(eigenvalues, radius))
     roots, converged = _newton(derivatives[0], derivatives[1], eigenvalues[candidates],
-                               _MAX_NEWTON_ITER, abs_derivatives[0])
+                               abs_derivatives[0])
     candidates, roots = candidates[converged], roots[converged]
     mag = np.abs(roots)
     bound = _evaluation_bound(abs_derivatives[0], mag)
@@ -222,7 +221,7 @@ def _cluster_top_down(leftover, derivatives, abs_derivatives, found: list) -> No
             # polishing from a poor group mean may overflow; such roots are not finite
             with np.errstate(over="ignore", invalid="ignore"):
                 roots, _ = _newton(derivatives[mult - 1], derivatives[mult],
-                                   remaining[groups].mean(axis=1), _MAX_NEWTON_ITER)
+                                   remaining[groups].mean(axis=1))
             passing = np.flatnonzero(np.isfinite(roots))
             passing = passing[_multiplicity_consistent(derivatives, abs_derivatives,
                                                        roots[passing], mult)]

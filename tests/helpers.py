@@ -166,6 +166,31 @@ def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
     return SolutionSet(tuple(classes), total, modulo_reflection, near)
 
 
+def reference_dedupe(forms):
+    """Pairwise greedy dedupe of the rows of a forms array, in index order.
+
+    Each form is compared with every earlier representative in turn: it
+    merges into the first one within dedupe_tol * scale (scale the larger
+    peak modulus of the two), and every representative checked before that
+    within ten times the tolerance counts as a near collision.  Returns the
+    indices of the representatives and the near-collision count.
+    """
+    peaks = [float(np.abs(row).max()) for row in forms]
+    reps = []
+    near = 0
+    for i, row in enumerate(forms):
+        for r in reps:
+            gap = float(np.abs(forms[r] - row).max())
+            scale = max(peaks[i], peaks[r])
+            if gap <= _DEDUPE_TOL * scale:
+                break
+            if gap <= 10.0 * _DEDUPE_TOL * scale:
+                near += 1
+        else:
+            reps.append(i)
+    return reps, near
+
+
 def masked_zeros(pairs, mask):
     """The zeros a mask picks: per pair, `mask` reflected members, then the kept ones."""
     zeros = []
@@ -287,13 +312,14 @@ class ReferenceCriteria:
                 if max(residuals) <= tol:
                     violations.append((mask, max(residuals)))
             key = lambda z: (z.real, z.imag)
-            full = sorted((1.0 / z.conjugate() for z in self.zeros), key=key)
-            limit = self.cfg.tol(max(abs(z) for z in self.zeros))
-            if violations and all(
-                    max((abs(a - b) for a, b in zip(sorted(self._reflected(mask), key=key), full)),
-                        default=0.0) <= limit
-                    for mask, _ in violations):
-                return True, "rotation_reflection", [], borderline
+            if violations:
+                full = sorted(self._reflected(range(len(self.zeros))), key=key)
+                limit = self.cfg.tol(max(abs(z) for z in self.zeros))
+                if all(max((abs(a - b) for a, b in
+                            zip(sorted(self._reflected(mask), key=key), full)),
+                           default=0.0) <= limit
+                       for mask, _ in violations):
+                    return True, "rotation_reflection", [], borderline
         elif family == "phase_endpoint":
             (offset,) = offsets
             for mask in self.masks():

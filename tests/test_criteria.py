@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from phase_toolkit import (ROTATION, ROTATION_REFLECTION, SubsetFamily,
+from phase_toolkit import (DEFAULT_CONFIG, ROTATION, ROTATION_REFLECTION, SubsetFamily,
                            check_all_moduli_uniqueness,
                            check_magnitude_uniqueness,
                            check_phase_uniqueness_endpoint,
@@ -471,6 +472,26 @@ def test_origin_zero_reflected_only_when_admissible():
         check_magnitude_uniqueness(zeros, 0, 3)
     with pytest.raises(ValueError, match="cannot reflect a zero at the origin"):
         check_phase_uniqueness_two_points([0.0, 2.0, 3.0j], 1, 2, 4)
+
+
+@pytest.mark.parametrize("circle_tol", [DEFAULT_CONFIG.circle_tol, 2.0])
+@pytest.mark.parametrize("zeros", [
+    [0.0], [0.0, 0.0], [0.0, 2.0], [0.0, complex(np.exp(0.7j))], [0.0, 2.0, 3.0j],
+    [0.0, 0.0, 2.0], [0.0, 0.5, 2.0], [0.0, complex(np.exp(0.7j)), complex(np.exp(0.3j))]])
+def test_origin_zero_raises_exactly_where_the_reference_does(zeros, circle_tol):
+    # circle_tol=2.0 takes the origin out of the eligible positions
+    cfg = dataclasses.replace(DEFAULT_CONFIG, circle_tol=circle_tol)
+    reference = ReferenceCriteria(zeros, cfg)
+    n = len(zeros) + 1
+    for key in _criterion_keys(n):
+        try:
+            expected = reference.report(*key)[:2]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _CHECKS[key[0]](zeros, *key[1:], n, cfg)
+        else:
+            got = _CHECKS[key[0]](zeros, *key[1:], n, cfg)
+            assert (got.unique, got.equivalence_kind) == expected, key
 
 
 def _paper_zero_sets(n):

@@ -10,10 +10,11 @@ from phase_toolkit import (Constraint, Signal, SolutionSet, autocorrelation,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, recover,
                            synthesize)
+from phase_toolkit.enumeration import _DEDUPE_TOL, _dedupe
 
 from helpers import (assert_same_solutions, constraints_from_signal,
                      probe_grid, random_signal, random_zero_set,
-                     reference_enumeration, reference_filter)
+                     reference_dedupe, reference_enumeration, reference_filter)
 
 
 def _pairs_of(values):
@@ -80,6 +81,41 @@ def test_near_collisions_flag_fragile_class_counts():
     separated = enumerated(1e-5)
     assert len(separated) == 8
     assert separated.near_collisions == 0
+
+
+def _dedupe_forms(rng, collapsed):
+    """Clusters of forms spread within the near-collision band, in random order.
+
+    With `collapsed` every real part is equal, so one run holds every form.
+    """
+    width = int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(-2, 2)
+    sizes = rng.integers(1, 51 if collapsed else 21, int(rng.integers(1, 4)))
+    centers = scale * (rng.normal(size=(sizes.size, width))
+                       + 1j * rng.normal(size=(sizes.size, width)))
+    spread = rng.choice([0.3, 1.1, 3.0, 9.0, 30.0], sizes.size) * _DEDUPE_TOL * scale
+    forms = np.concatenate([
+        center + s * (rng.uniform(-1, 1, (size, width)) + 1j * rng.uniform(-1, 1, (size, width)))
+        for center, s, size in zip(centers, spread, sizes)])
+    if collapsed:
+        forms = scale + 1j * forms.imag
+    return forms[rng.permutation(len(forms))]
+
+
+def test_dedupe_matches_pairwise_reference():
+    rng = np.random.default_rng(2104)
+    merged = near = 0
+    longest = 0
+    for trial in range(240):
+        collapsed = trial % 3 == 0
+        forms = _dedupe_forms(rng, collapsed)
+        kept, collisions = _dedupe(forms)
+        reps, expected = reference_dedupe(forms)
+        assert kept.tolist() == reps and collisions == expected, trial
+        merged += len(reps) < len(forms)
+        near += expected > 0
+        longest = max(longest, len(forms) if collapsed else 1)
+    assert merged > 100 and near > 100 and longest >= 50
 
 
 def test_enumerate_two_point_signal():
