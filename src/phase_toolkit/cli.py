@@ -42,10 +42,6 @@ EXIT_AMBIGUOUS = 4
 ENV_TOL_ABS = "PHASE_TOOLKIT_TOL_ABS"
 
 
-class CliError(Exception):
-    """Input or domain problem that maps to exit code 2."""
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -104,27 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> ToleranceConfig:
-    overrides = {}
-    atol = args.tol_abs
-    if atol is None:
-        raw = os.environ.get(ENV_TOL_ABS)
-        if raw is not None:
-            try:
-                atol = float(raw)
-            except ValueError as exc:
-                raise CliError(f"bad {ENV_TOL_ABS} value {raw!r}") from exc
-    if atol is not None:
-        overrides["atol"] = atol
-    if args.tol_rel is not None:
-        overrides["rtol"] = args.tol_rel
-    if args.circle_tol is not None:
-        overrides["circle_tol"] = args.circle_tol
-    if args.criterion_tol is not None:
-        overrides["criterion_tol"] = args.criterion_tol
-    try:
-        return dataclasses.replace(DEFAULT_CONFIG, **overrides)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    atol, raw = args.tol_abs, os.environ.get(ENV_TOL_ABS)
+    if atol is None and raw is not None:
+        try:
+            atol = float(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad {ENV_TOL_ABS} value {raw!r}") from exc
+    flags = {"atol": atol, "rtol": args.tol_rel, "circle_tol": args.circle_tol,
+             "criterion_tol": args.criterion_tol}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
 
 def _read_json(path: str):
@@ -134,16 +119,16 @@ def _read_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _read_source(document, cfg: ToleranceConfig):
     """The `Signal` or `Autocorrelation` a document describes; sampled
     intensity values are fitted by `acf_from_intensity_samples`."""
     if not isinstance(document, dict):
-        raise CliError("expected a JSON object describing the input")
+        raise ValueError("expected a JSON object describing the input")
     try:
         if "values" in document:
             return ser.signal_from_dict(document)
@@ -151,9 +136,9 @@ def _read_source(document, cfg: ToleranceConfig):
             return ser.acf_from_dict(document)
         if "samples" in document:
             return acf_from_intensity_samples(document["samples"], ser._integer(document["n"]), cfg)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
-    raise CliError("input needs 'values', 'coeffs' or 'samples'")
+    except (TypeError, KeyError) as exc:
+        raise ValueError(str(exc)) from exc
+    raise ValueError("input needs 'values', 'coeffs' or 'samples'")
 
 
 def _write_result(text: str, args) -> None:
@@ -248,18 +233,18 @@ def _cmd_recover(args, cfg: ToleranceConfig) -> int:
 def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
     if args.kind == "modulus":
         if args.support is None:
-            raise CliError("modulus construction needs --support")
+            raise ValueError("modulus construction needs --support")
         pairs = [magnitude_counterexample(args.support, args.split_radius,
                                           args.repeated_radius, cfg)]
         text = (ser.dumps(ser.counterexample_to_dict(pairs[0])) if args.format == "json"
                 else ser.signals_to_csv([pairs[0].x, pairs[0].y]))
     else:
         if args.zeros is None:
-            raise CliError("phase construction needs --zeros")
+            raise ValueError("phase construction needs --zeros")
         try:
             zeros = [float(part) for part in args.zeros.split(",") if part.strip()]
         except ValueError as exc:
-            raise CliError(f"bad --zeros list: {exc}") from exc
+            raise ValueError(f"bad --zeros list: {exc}") from exc
         pairs = phase_counterexample(zeros, args.support, cfg)
         text = (ser.dumps([ser.counterexample_to_dict(p) for p in pairs])
                 if args.format == "json"
@@ -284,9 +269,6 @@ def main(argv=None) -> int:
         if args.command in ("enumerate", "recover"):
             return _cmd_recover(args, cfg)
         return _cmd_counterexample(args, cfg)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

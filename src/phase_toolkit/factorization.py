@@ -288,9 +288,13 @@ class ZeroPair:
     """
 
     zero: complex
-    reflected: complex
     on_circle: bool
     multiplicity: int
+
+    @property
+    def reflected(self) -> complex:
+        """The other member of the pair, 1 / conj(zero); the zero itself on the circle."""
+        return self.zero if self.on_circle else 1.0 / self.zero.conjugate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,12 +303,16 @@ class ZeroPairSet:
 
     pairs: tuple
     leading: complex
-    snapped: int = 0
 
     @property
     def support_len(self) -> int:
         """Support length N of the matching signals."""
         return 1 + sum(p.multiplicity for p in self.pairs)
+
+    @property
+    def snapped(self) -> int:
+        """Roots of P on the unit circle: an on-circle zero is a double root of P."""
+        return 2 * sum(p.multiplicity for p in self.pairs if p.on_circle)
 
 
 def _sort_key(z: complex):
@@ -324,9 +332,7 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
     `pairs_from_zeros` then builds the pairs from one member of each.
     """
     roots = list(roots)
-    on_circle = []
-    inside = []
-    outside = []
+    on_circle, inside, outside = [], [], []
     total = 0
     for raw, mult in roots:
         z = complex(raw)
@@ -334,23 +340,24 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
         if mult <= 0:
             raise ValueError("multiplicities must be positive")
         total += mult
-        if abs(abs(z) - 1.0) <= cfg.circle_tol:
-            on_circle.append((z / abs(z), z, mult))
-        elif abs(z) > 1.0:
+        modulus = abs(z)
+        if abs(modulus - 1.0) <= cfg.circle_tol:
+            on_circle.append((z / modulus, z, mult))
+        elif modulus > 1.0:
             outside.append((z, mult))
         else:
-            inside.append([z, mult])
+            inside.append((z, mult))
     if total % 2:
         raise ValueError(
             "input is not a valid autocorrelation spectrum: odd number of zeros")
 
+    # runs of on-circle roots within 2 circle_tol of a run's first root merge
     merged = []
     for unit, z, mult in sorted(on_circle, key=lambda item: _sort_key(item[0])):
         if merged and abs(merged[-1][0] - unit) <= 2.0 * cfg.circle_tol:
             merged[-1][2] += mult
         else:
             merged.append([unit, z, mult])
-
     members = []
     for _, z, mult in merged:
         if mult % 2:
@@ -361,22 +368,19 @@ def pair_roots(roots, cfg: ToleranceConfig = DEFAULT_CONFIG, *,
 
     for z, mult in sorted(outside, key=lambda item: _sort_key(item[0])):
         target = 1.0 / z.conjugate()
-        best = None
-        best_gap = np.inf
+        best, gap = None, np.inf  # the nearest remaining inside root, the first on ties
         for idx, (candidate, _) in enumerate(inside):
-            gap = abs(candidate - target)
-            if gap < best_gap:
-                best, best_gap = idx, gap
-        if best is None or best_gap > _PAIR_TOL * max(1.0, abs(target)):
+            distance = abs(candidate - target)
+            if distance < gap:
+                best, gap = idx, distance
+        if gap > _PAIR_TOL * max(1.0, abs(target)):
             raise RootFindingError(
                 "input is not a valid autocorrelation spectrum: "
                 f"zero {z!r} has no reflected partner", roots)
-        partner_mult = inside[best][1]
-        if partner_mult != mult:
+        if inside.pop(best)[1] != mult:
             raise RootFindingError(
                 "input is not a valid autocorrelation spectrum: "
                 f"multiplicity mismatch at zero {z!r}", roots)
-        del inside[best]
         members += [z] * mult
     if inside:
         raise RootFindingError(
@@ -390,33 +394,29 @@ def pairs_from_zeros(zeros, leading: complex = 1.0 + 0.0j,
     """Zero pairs generated by an explicit zero multiset of one signal.
 
     Each given zero contributes one selection slot; zeros that are mutual
-    reflections (or repeats) accumulate multiplicity in a single pair.  An
-    on-circle zero is a double root of the associated polynomial, so
-    `snapped` counts two per on-circle zero.
+    reflections (or repeats) accumulate multiplicity in a single pair.  A
+    zero within `circle_tol` of the unit circle is snapped onto it.
     """
     groups = []
     for raw in zeros:
         z = complex(raw)
         if z == 0:
             raise ValueError("zero selections must avoid the origin")
-        if abs(abs(z) - 1.0) <= cfg.circle_tol:
-            representative = z / abs(z)
-            circled = True
+        modulus = abs(z)
+        circled = abs(modulus - 1.0) <= cfg.circle_tol
+        if circled:
+            representative = z / modulus
         else:
-            representative = z if abs(z) > 1.0 else 1.0 / z.conjugate()
-            circled = False
+            representative = z if modulus > 1.0 else 1.0 / z.conjugate()
         reach = _CLUSTER_RADIUS * max(1.0, abs(representative))
         for group in groups:
-            if group[2] == circled and abs(group[0] - representative) <= reach:
-                group[1] += 1
+            if group[1] == circled and abs(group[0] - representative) <= reach:
+                group[2] += 1
                 break
         else:
-            groups.append([representative, 1, circled])
-    pairs = [ZeroPair(rep, rep if circled else 1.0 / rep.conjugate(), circled, mult)
-             for rep, mult, circled in groups]
-    pairs.sort(key=lambda p: _sort_key(p.zero))
-    snapped = 2 * sum(mult for _, mult, circled in groups if circled)
-    return ZeroPairSet(tuple(pairs), complex(leading), snapped)
+            groups.append([representative, circled, 1])
+    pairs = sorted((ZeroPair(*group) for group in groups), key=lambda p: _sort_key(p.zero))
+    return ZeroPairSet(tuple(pairs), complex(leading))
 
 
 def zero_pairs(source, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ZeroPairSet:

@@ -9,6 +9,7 @@ keys keep their order, so repeated runs are byte-for-byte identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -76,16 +77,30 @@ def _integer(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
+def _flag(value) -> bool:
+    """A JSON boolean as `bool`; a number or a string is malformed."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise TypeError(f"expected a boolean, got {value!r}")
+
+
+@contextlib.contextmanager
+def _reading(kind: str):
+    """Report a missing key, a wrong type or a bad value as a malformed `kind` document."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+
+
 def signal_to_dict(x: Signal) -> dict:
     return {"offset": x.offset, "values": x.values}
 
 
 def signal_from_dict(data: dict) -> Signal:
-    try:
+    with _reading("signal"):
         values = [_complex_from(v) for v in data["values"]]
         return Signal(_integer(data["offset"]), values)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed signal document: {exc}") from exc
 
 
 def acf_to_dict(acf: Autocorrelation) -> dict:
@@ -93,11 +108,9 @@ def acf_to_dict(acf: Autocorrelation) -> dict:
 
 
 def acf_from_dict(data: dict) -> Autocorrelation:
-    try:
+    with _reading("autocorrelation"):
         n = _integer(data["n"])
         coeffs = [_complex_from(c) for c in data["coeffs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed autocorrelation document: {exc}") from exc
     if len(coeffs) != 2 * n - 1:
         raise ValueError(
             f"autocorrelation for n={n} needs {2 * n - 1} coefficients, got {len(coeffs)}")
@@ -109,10 +122,8 @@ def constraint_to_dict(c: Constraint) -> dict:
 
 
 def constraint_from_dict(data: dict) -> Constraint:
-    try:
+    with _reading("constraint"):
         return Constraint(str(data["kind"]), _integer(data["index"]), float(data["value"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed constraint document: {exc}") from exc
 
 
 def constraints_from_list(data) -> list:
@@ -131,21 +142,24 @@ def zero_pairs_to_dict(pairs: ZeroPairSet) -> dict:
 
 
 def _zero_pair_from(entry: dict) -> ZeroPair:
-    zero, circled = _complex_from(entry["gamma"]), entry["on_circle"]
+    zero, circled = _complex_from(entry["gamma"]), _flag(entry["on_circle"])
     mult = _integer(entry["mult"])
-    if zero == 0 or mult < 1 or not isinstance(circled, (bool, np.bool_)):
-        raise ValueError(f"need a nonzero gamma, a boolean on_circle and mult >= 1: {entry!r}")
+    if zero == 0 or mult < 1:
+        raise ValueError(f"need a nonzero gamma and mult >= 1: {entry!r}")
     if circled and abs(abs(zero) - 1.0) > DEFAULT_CONFIG.circle_tol:
         raise ValueError(f"on-circle gamma {zero!r} is off the unit circle")
-    return ZeroPair(zero, zero if circled else 1.0 / zero.conjugate(), bool(circled), mult)
+    return ZeroPair(zero, circled, mult)
 
 
 def zero_pairs_from_dict(data: dict) -> ZeroPairSet:
-    try:
-        pairs = tuple(_zero_pair_from(entry) for entry in data["pairs"])
-        return ZeroPairSet(pairs, _complex_from(data["leading"]), _integer(data.get("snapped", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed zero pair document: {exc}") from exc
+    """The written pairs; `snapped`, 0 when absent, must be the count they give."""
+    with _reading("zero pair"):
+        pairs = ZeroPairSet(tuple(_zero_pair_from(entry) for entry in data["pairs"]),
+                            _complex_from(data["leading"]))
+        snapped = _integer(data.get("snapped", 0))
+        if snapped != pairs.snapped:
+            raise ValueError(f"snapped is {snapped}, but the pairs give {pairs.snapped}")
+        return pairs
 
 
 def solution_set_to_dict(solutions: SolutionSet) -> dict:
@@ -156,15 +170,13 @@ def solution_set_to_dict(solutions: SolutionSet) -> dict:
 
 
 def solution_set_from_dict(data: dict, modulo_reflection: bool = False) -> SolutionSet:
-    try:
+    with _reading("solution set"):
         classes = []
         for entry in data["classes"]:
             sig = signal_from_dict(entry["signal"])
             classes.append(SolutionClass(sig.values, tuple(map(_integer, entry["mask"]))))
         return SolutionSet(tuple(classes), _integer(data["total_enumerated"]),
                            modulo_reflection)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed solution set document: {exc}") from exc
 
 
 def report_to_dict(report: CriterionReport) -> dict:
@@ -179,13 +191,11 @@ def counterexample_to_dict(pair: CounterexamplePair) -> dict:
 
 
 def counterexample_from_dict(data: dict) -> CounterexamplePair:
-    try:
+    with _reading("counterexample"):
         shared = data["shared"]
         return CounterexamplePair(signal_from_dict(data["x"]),
                                   signal_from_dict(data["y"]),
-                                  bool(shared["moduli"]), bool(shared["phases"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed counterexample document: {exc}") from exc
+                                  _flag(shared["moduli"]), _flag(shared["phases"]))
 
 
 def signal_to_csv(x: Signal) -> str:

@@ -480,6 +480,23 @@ def test_non_integer_integers_are_rejected(tmp_path, capsys, command, document):
     assert "expected an integer" in captured.err
 
 
+@pytest.mark.parametrize("argv, document, message", [
+    (["enumerate"], [1, 2], "expected a JSON object describing the input"),
+    (["enumerate"], {}, "input needs 'values', 'coeffs' or 'samples'"),
+    (["counterexample", "modulus"], None, "modulus construction needs --support"),
+], ids=["json-list", "empty-object", "modulus-without-support"])
+def test_usage_errors_print_one_error_line(tmp_path, capsys, argv, document, message):
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = argv + [str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_counterexample_phase_rejects_complex_zeros(capsys):
     rc = main(["counterexample", "phase", "--zeros=-2+0j,-3"])
     captured = capsys.readouterr()

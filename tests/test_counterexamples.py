@@ -106,6 +106,8 @@ def test_phase_pair_reflected_zero_pair_still_ambiguous():
 
 
 def test_phase_pair_rejects_bad_zero_sets():
+    with pytest.raises(ValueError, match="at least two zeros are required"):
+        phase_counterexample([])
     with pytest.raises(ValueError, match="no nontrivial ambiguity"):
         phase_counterexample([-1.0, -1.0])
     with pytest.raises(ValueError, match="negative"):

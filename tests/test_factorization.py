@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import phase_toolkit.factorization as factorization
 from phase_toolkit import (AssociatedPolynomial, RootFindingError,
                            Signal, associated_polynomial, autocorrelation,
-                           cluster_roots, find_roots, pair_roots,
-                           pairs_from_zeros, synthesize, zero_pairs)
+                           ZeroPair, ZeroPairSet, cluster_roots, find_roots,
+                           pair_roots, pairs_from_zeros, synthesize, zero_pairs)
 
 from helpers import random_signal, random_zero_set, reference_cluster_top_down
 
@@ -325,6 +327,34 @@ def test_pairs_from_zeros_counts_snapped_roots_as_pair_roots_does():
 def test_pair_roots_rejects_odd_circle_multiplicity():
     with pytest.raises(ValueError, match="odd multiplicity"):
         pair_roots([(1.0j, 1), (-1.0j, 1)])
+
+
+def test_pair_roots_merges_on_circle_roots_within_twice_circle_tol():
+    u = complex(np.exp(0.3j))
+    # 5e-9 apart, the two roots are one double root on the circle
+    pairs = pair_roots([(u, 1), (u * np.exp(5e-9j), 1), (2.0, 1), (0.5, 1)])
+    assert [(p.on_circle, p.multiplicity) for p in pairs.pairs] == [(True, 1), (False, 1)]
+    assert pairs.snapped == 2
+    # 5e-8 apart, they are two simple roots on the circle
+    with pytest.raises(ValueError, match="on-circle zero with odd multiplicity"):
+        pair_roots([(u, 1), (u * np.exp(5e-8j), 1), (2.0, 1), (0.5, 1)])
+
+
+def test_pair_roots_and_pairs_from_zeros_reject_degenerate_input():
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        pair_roots([(2.0, 0), (0.5, 0)])
+    with pytest.raises(ValueError, match="zero selections must avoid the origin"):
+        pairs_from_zeros([0j])
+
+
+def test_zero_pairs_derive_reflected_and_snapped():
+    assert [f.name for f in dataclasses.fields(ZeroPair)] == ["zero", "on_circle", "multiplicity"]
+    assert [f.name for f in dataclasses.fields(ZeroPairSet)] == ["pairs", "leading"]
+    pairs = ZeroPairSet((ZeroPair(2.0 - 1.0j, False, 2), ZeroPair(1j, True, 3)), 1.0)
+    assert pairs.pairs[0].reflected == 1.0 / (2.0 + 1.0j)
+    assert pairs.pairs[1].reflected == 1j
+    assert pairs.snapped == 6
+    assert pairs.support_len == 6
 
 
 def test_pair_roots_rejects_unmatched_zero():

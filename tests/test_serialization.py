@@ -305,6 +305,36 @@ def test_readers_reject_non_integer_integers(reader, doc):
         reader(doc)
 
 
+@pytest.mark.parametrize("snapped", [None, 0, 4], ids=["absent", "zero", "four"])
+def test_zero_pairs_reader_refuses_a_snapped_count_the_pairs_do_not_give(snapped):
+    doc = _zero_pairs_doc()
+    assert doc.pop("snapped") == 2  # one on-circle pair of multiplicity 1
+    if snapped is not None:
+        doc["snapped"] = snapped
+    with pytest.raises(ValueError, match="malformed zero pair document: snapped is"):
+        zero_pairs_from_dict(doc)
+
+
+def test_solution_set_reader_names_its_kind_for_a_malformed_class_signal():
+    doc = {"classes": [{"mask": [0], "signal": {"offset": 0, "values": [[0, 0]]}}],
+           "total_enumerated": 1}
+    with pytest.raises(ValueError, match="^malformed solution set document: "
+                                         "malformed signal document: empty support$"):
+        solution_set_from_dict(doc)
+
+
+def test_counterexample_reader_refuses_non_boolean_flags():
+    doc = json.loads(dumps(counterexample_to_dict(magnitude_counterexample(4, 2.0, 2.0))))
+    doc["shared"] = {"intensity": True, "moduli": "no", "phases": "false"}
+    with pytest.raises(ValueError, match="malformed counterexample document: expected a boolean"):
+        counterexample_from_dict(doc)
+
+
+def test_constraints_reader_needs_a_list():
+    with pytest.raises(ValueError, match="constraints document must be a JSON list"):
+        constraints_from_list({})
+
+
 def test_readers_accept_integral_floats():
     assert signal_from_dict({"offset": -2.0, "values": [[1, 0]]}).offset == -2
     assert constraint_from_dict({"kind": "phase", "index": 1.0, "value": 0.5}).index == 1

@@ -65,6 +65,15 @@ def test_autocorrelation_validation():
         Autocorrelation([np.inf, 1.0, np.inf])  # inf - inf would pass the symmetry test
 
 
+def test_signal_needs_one_dimension_and_lags_stay_in_range():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Signal(0, [[1, 2]])
+    acf = Autocorrelation([2.0, 5.0, 2.0])
+    for lag in (-2, 2):
+        with pytest.raises(IndexError, match=r"outside \[-1, 1\]"):
+            acf[lag]
+
+
 def test_fourier_transform_respects_offset():
     rng = np.random.default_rng(3)
     vals = random_signal(rng, 5)
@@ -212,6 +221,18 @@ def test_acf_from_samples_underdetermined():
     w = np.linspace(-np.pi, np.pi, 4, endpoint=False)
     with pytest.raises(ValueError, match="sample"):
         acf_from_intensity_samples([(wk, 1.0) for wk in w], 3)
+
+
+@pytest.mark.parametrize("samples, n, message", [
+    ([(0.0, 1.0)], 0, "support length must be at least 1"),
+    ([], 2, "no samples given"),
+    # 19 distinct frequencies, as N = 10 needs, but too close to resolve 19 coefficients
+    ([(w, 1.0) for w in np.linspace(0, 1e-2, 19)], 10,
+     "frequencies do not separate the coefficients"),
+], ids=["support-0", "no-samples", "clustered-frequencies"])
+def test_acf_from_samples_rejects_degenerate_requests(samples, n, message):
+    with pytest.raises(ValueError, match=message):
+        acf_from_intensity_samples(samples, n)
 
 
 def test_acf_from_samples_duplicate_nodes_rejected():
