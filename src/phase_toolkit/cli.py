@@ -32,7 +32,7 @@ from .criteria import (check_all_moduli_uniqueness, check_magnitude_uniqueness,
                        check_phase_uniqueness_two_points)
 from .enumeration import enumerate_solutions, recover
 from .factorization import cluster_roots, pairs_from_zeros
-from .signals import acf_from_intensity_samples, autocorrelation
+from .signals import autocorrelation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,32 +51,32 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative tolerance (default 1e-9)")
     common.add_argument("--circle-tol", type=float, default=None,
                         help="unit-circle snapping band (default 1e-8)")
-    common.add_argument("--criterion-tol", type=float, default=None,
-                        help="criterion equality band (default 1e-8)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format for signal-bearing results")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for extra randomized verification probes")
     common.add_argument("--out", default=None,
                         help="write the result to this path instead of stdout")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="output format for signal-bearing results")
 
     parser = argparse.ArgumentParser(
         prog="phase-toolkit",
         description="Ambiguity analysis for one-dimensional discrete phase retrieval")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand accepts only the flags it reads
     analyze = sub.add_parser("analyze", parents=[common],
                              help="report zero pairs, class count and uniqueness verdicts")
+    analyze.add_argument("--criterion-tol", type=float, default=None,
+                         help="criterion equality band (default 1e-8)")
     analyze.add_argument("signal_file", help="signal JSON (use - for stdin)")
 
-    enumerate_cmd = sub.add_parser("enumerate", parents=[common],
+    enumerate_cmd = sub.add_parser("enumerate", parents=[common, formatted],
                                    help="enumerate all solution classes")
     enumerate_cmd.add_argument("input_file",
                                help="signal, autocorrelation or samples JSON (- for stdin)")
     enumerate_cmd.add_argument("--modulo-reflection", action="store_true",
                                help="merge conjugate-reflected classes")
 
-    recover_cmd = sub.add_parser("recover", parents=[common],
+    recover_cmd = sub.add_parser("recover", parents=[common, formatted],
                                  help="filter the solution classes by constraints")
     recover_cmd.add_argument("input_file", metavar="intensity_file",
                              help="signal, autocorrelation or samples JSON (- for stdin)")
@@ -85,9 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     recover_cmd.add_argument("--modulo-reflection", action="store_true",
                              help="merge conjugate-reflected classes before filtering")
 
-    counter = sub.add_parser("counterexample", parents=[common],
+    counter = sub.add_parser("counterexample", parents=[common, formatted],
                              help="build and verify an ambiguity construction")
     counter.add_argument("kind", choices=("modulus", "phase"))
+    counter.add_argument("--seed", type=int, default=None,
+                         help="seed for extra randomized verification probes")
     counter.add_argument("--support", type=int, default=None,
                          help="support length N")
     counter.add_argument("--split-radius", type=float, default=2.0,
@@ -107,7 +109,7 @@ def _config_from(args) -> ToleranceConfig:
         except ValueError as exc:
             raise ValueError(f"bad {ENV_TOL_ABS} value {raw!r}") from exc
     flags = {"atol": atol, "rtol": args.tol_rel, "circle_tol": args.circle_tol,
-             "criterion_tol": args.criterion_tol}
+             "criterion_tol": getattr(args, "criterion_tol", None)}
     overrides = {name: value for name, value in flags.items() if value is not None}
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
@@ -125,30 +127,28 @@ def _read_json(path: str):
 
 
 def _read_source(document, cfg: ToleranceConfig):
-    """The `Signal` or `Autocorrelation` a document describes; sampled
-    intensity values are fitted by `acf_from_intensity_samples`."""
+    """The `Signal` or `Autocorrelation` a document describes, samples fitted."""
     if not isinstance(document, dict):
         raise ValueError("expected a JSON object describing the input")
-    try:
-        if "values" in document:
-            return ser.signal_from_dict(document)
-        if "coeffs" in document:
-            return ser.acf_from_dict(document)
-        if "samples" in document:
-            return acf_from_intensity_samples(document["samples"], ser._integer(document["n"]), cfg)
-    except (TypeError, KeyError) as exc:
-        raise ValueError(str(exc)) from exc
+    if "values" in document:
+        return ser.signal_from_dict(document)
+    if "coeffs" in document:
+        return ser.acf_from_dict(document)
+    if "samples" in document:
+        return ser.acf_from_samples_dict(document, cfg)
     raise ValueError("input needs 'values', 'coeffs' or 'samples'")
 
 
-def _write_result(text: str, args) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
+def _write_result(text: str, path) -> None:
+    """Write text to path, or newline-terminated to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _solution_text(solutions, args) -> str:
@@ -170,8 +170,8 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
     acf = autocorrelation(signal)
     zeros = [root for root, mult in cluster_roots(signal.values) for _ in range(mult)]
     pairs = pairs_from_zeros(zeros, acf[n - 1], cfg)
-    classes_rot = enumerate_solutions(pairs, modulo_reflection=False, cfg=cfg)
-    classes_refl = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
+    classes_rot = enumerate_solutions(pairs, modulo_reflection=False)
+    classes_refl = enumerate_solutions(pairs, modulo_reflection=True)
 
     # (family, position, label, report), in the order the verdicts are printed
     inner = range(1, n - 1)
@@ -195,7 +195,6 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
         state = "unique" if report.unique else "ambiguous"
         extra = " [borderline]" if report.borderline else ""
         lines.append(f"{label}: {state} ({report.equivalence_kind}){extra}")
-    sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
         verdicts = {"magnitude": [], "phase_endpoint": [], "phase_two_points": [],
                     "all_moduli": None}
@@ -213,8 +212,8 @@ def _cmd_analyze(args, cfg: ToleranceConfig) -> int:
             "class_count_modulo_reflection": len(classes_refl),
             "criteria": verdicts,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(ser.dumps(document))
+        _write_result(ser.dumps(document), args.out)
+    _write_result("\n".join(lines), None)
     return EXIT_OK
 
 
@@ -224,7 +223,7 @@ def _cmd_recover(args, cfg: ToleranceConfig) -> int:
     constraints = (() if args.command == "enumerate"
                    else ser.constraints_from_list(_read_json(args.constraints_file)))
     solutions = recover(source, constraints, cfg, args.modulo_reflection)
-    _write_result(_solution_text(solutions, args), args)
+    _write_result(_solution_text(solutions, args), args.out)
     if args.command == "enumerate" or len(solutions) == 1:
         return EXIT_OK
     return EXIT_INCONSISTENT if len(solutions) == 0 else EXIT_AMBIGUOUS
@@ -236,8 +235,6 @@ def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
             raise ValueError("modulus construction needs --support")
         pairs = [magnitude_counterexample(args.support, args.split_radius,
                                           args.repeated_radius, cfg)]
-        text = (ser.dumps(ser.counterexample_to_dict(pairs[0])) if args.format == "json"
-                else ser.signals_to_csv([pairs[0].x, pairs[0].y]))
     else:
         if args.zeros is None:
             raise ValueError("phase construction needs --zeros")
@@ -246,16 +243,15 @@ def _cmd_counterexample(args, cfg: ToleranceConfig) -> int:
         except ValueError as exc:
             raise ValueError(f"bad --zeros list: {exc}") from exc
         pairs = phase_counterexample(zeros, args.support, cfg)
-        text = (ser.dumps([ser.counterexample_to_dict(p) for p in pairs])
-                if args.format == "json"
-                else ser.signals_to_csv([pairs[0].x] + [p.y for p in pairs]))
+    documents = [ser.counterexample_to_dict(p) for p in pairs]
+    text = (ser.dumps(documents[0] if args.kind == "modulus" else documents)
+            if args.format == "json" else ser.signals_to_csv([pairs[0].x] + [p.y for p in pairs]))
     if pairs:
-        gaps = _verify_family(pairs[0].x, [p.y for p in pairs], cfg,
-                              _verification_probes(args.seed))
+        gaps = _verify_family(pairs[0].x, [p.y for p in pairs], _verification_probes(args.seed))
         for idx, row in enumerate(zip(*gaps.values())):
             sys.stderr.write(f"pair {idx}: " + ", ".join(
                 f"{key.replace('_', ' ')} {gap:.3e}" for key, gap in zip(gaps, row)) + "\n")
-    _write_result(text, args)
+    _write_result(text, args.out)
     return EXIT_OK
 
 

@@ -3,8 +3,8 @@
 Comparisons follow the pattern ``|delta| <= atol + rtol * scale`` where
 ``scale`` is the largest magnitude relevant to the comparison, so the
 defaults below act as both absolute floors and relative bands.  The
-canonical order of signals is purely relative: ``cfg.tol(1)`` times the
-peak modulus.
+canonical order of signals is no knob: a fixed relative band of the peak
+modulus (`signals._CANONICAL_TOL`), so no tolerance changes a class.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class ToleranceConfig:
     The other thresholds are constants beside the code that reads them, not
     knobs: support trimming (`signals._TRIM_THRESHOLD`), root certification
     (`factorization._CLUSTER_RADIUS`, `_RESIDUAL_TOL`, `_MAX_NEWTON_ITER`),
-    reflected-pair matching (`factorization._PAIR_TOL`) and the class dedupe
-    (`enumeration._DEDUPE_TOL`).
+    reflected-pair matching (`factorization._PAIR_TOL`), the canonical band
+    (`signals._CANONICAL_TOL`) and the class dedupe (`enumeration._DEDUPE_TOL`).
     """
 
     atol: float = 1e-9

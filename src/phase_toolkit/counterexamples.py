@@ -38,7 +38,7 @@ def _probe_grid(count: int = 128) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, count, endpoint=False) + 0.0123456789
 
 
-def _verify_family(x: Signal, partners, cfg: ToleranceConfig, probes) -> dict:
+def _verify_family(x: Signal, partners, probes) -> dict:
     """The gaps of `verify_counterexample` for x against each partner, as arrays.
 
     x and the partners are zero-padded rows, transformed in one product; the
@@ -56,18 +56,16 @@ def _verify_family(x: Signal, partners, cfg: ToleranceConfig, probes) -> dict:
     # only rows of x's length are compared: a padded row can be all zero there
     vx, same = x.values, lengths[1:] == x.support_len
     vy = rows[1:][same, :vx.size]
-    form_x = _canonical_rows(vx[None, :], True, cfg)[0]
+    form_x = _canonical_rows(vx[None, :], True)[0]
     for key, gap in (("modulus_gap", np.abs(np.abs(vx) - np.abs(vy))),
                      ("phase_gap", np.abs(_wrap_angle(np.angle(vx) - np.angle(vy)))),
-                     ("canonical_gap", np.abs(form_x - _canonical_rows(vy, True, cfg)[0]))):
+                     ("canonical_gap", np.abs(form_x - _canonical_rows(vy, True)[0]))):
         gaps[key] = np.full(len(partners), np.inf)
         gaps[key][same] = gap.max(axis=1)
     return gaps
 
 
-def verify_counterexample(pair: CounterexamplePair,
-                          cfg: ToleranceConfig = DEFAULT_CONFIG,
-                          probes=None) -> dict:
+def verify_counterexample(pair: CounterexamplePair, probes=None) -> dict:
     """Measured deviations of the pair's shared and differing properties.
 
     Returns a dict with the worst intensity gap over the probe grid, the
@@ -75,7 +73,7 @@ def verify_counterexample(pair: CounterexamplePair,
     canonical-form distance modulo all trivial transforms.
     """
     return {key: float(gap[0]) for key, gap in _verify_family(
-        pair.x, [pair.y], cfg, _probe_grid() if probes is None else probes).items()}
+        pair.x, [pair.y], _probe_grid() if probes is None else probes).items()}
 
 
 def magnitude_counterexample(support_len: int, split_radius: float,
@@ -107,7 +105,7 @@ def magnitude_counterexample(support_len: int, split_radius: float,
     x = synthesize(zeros_x, leading)
     y = synthesize(zeros_y, leading)
     pair = CounterexamplePair(x, y, shared_moduli=True, shared_phases=False)
-    report = verify_counterexample(pair, cfg)
+    report = verify_counterexample(pair)
     scale = float(np.abs(x.values).max())
     if report["modulus_gap"] > cfg.tol(scale) * 100.0:
         raise ArithmeticError("construction lost the shared moduli")
@@ -149,16 +147,17 @@ def phase_counterexample(zeros, support_len: int | None = None,
     top_lag = np.prod([abs(z) for z in items])
     reference = synthesize(items, top_lag)
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
-    solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
-
-    partners = [cls.signal() for cls in solutions.classes]
-    gaps = _verify_family(reference, partners, cfg, _probe_grid())["canonical_gap"]
+    classes = list(enumerate_solutions(pairs, modulo_reflection=True).classes)
+    # class values are canonical modulo reflection: the nearest holds the reference
+    form = _canonical_rows(reference.values[None, :], True)[0][0]
+    gaps = [np.abs(cls.values - form).max() if cls.values.size == form.size else np.inf
+            for cls in classes]
     own = int(np.argmin(gaps))
     if gaps[own] > _DEDUPE_TOL * float(np.abs(reference.values).max()):
         raise ArithmeticError("enumeration lost the reference signal's class")
-    del partners[own]
-    if partners and np.abs(np.angle(np.concatenate([y.values for y in partners]))).max() \
+    del classes[own]
+    if classes and np.abs(np.angle(np.concatenate([cls.values for cls in classes]))).max() \
             > cfg.tol(np.pi) * 100.0:
         raise ArithmeticError("enumerated class is not non-negative")
-    return [CounterexamplePair(reference, y, shared_moduli=False, shared_phases=True)
-            for y in partners]
+    return [CounterexamplePair(reference, cls.signal(), shared_moduli=False, shared_phases=True)
+            for cls in classes]

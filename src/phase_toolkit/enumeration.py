@@ -199,8 +199,7 @@ def _dedupe(forms: np.ndarray):
     return np.flatnonzero(kept), near
 
 
-def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> SolutionSet:
+def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False) -> SolutionSet:
     """All solution classes generated by a zero pair set.
 
     On-circle pairs admit a single choice; off-circle pairs of multiplicity
@@ -229,7 +228,7 @@ def enumerate_solutions(pairs: ZeroPairSet, modulo_reflection: bool = False,
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
         values = table[rows[:, None], first[rows, None] + np.arange(length)]
-        forms, reflected = _canonical_rows(values, modulo_reflection, cfg)
+        forms, reflected = _canonical_rows(values, modulo_reflection)
         kept, collisions = _dedupe(forms)
         near += collisions
         # the classes of this length take their rows as views of one read-only block
@@ -303,5 +302,5 @@ def recover(source, constraints=(), cfg: ToleranceConfig = DEFAULT_CONFIG,
             modulo_reflection: bool = False) -> SolutionSet:
     """Every solution class of a `Signal`'s or an `Autocorrelation`'s intensity,
     filtered by constraints; `zero_pairs` decides which zeros pair the input."""
-    solutions = enumerate_solutions(zero_pairs(source, cfg), modulo_reflection, cfg)
+    solutions = enumerate_solutions(zero_pairs(source, cfg), modulo_reflection)
     return filter_by_constraints(solutions, constraints, cfg)

@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, ToleranceConfig
 from .counterexamples import CounterexamplePair
 from .criteria import CriterionReport
 from .enumeration import Constraint, SolutionClass, SolutionSet
 from .factorization import ZeroPair, ZeroPairSet
-from .signals import Autocorrelation, Signal
+from .signals import Autocorrelation, Signal, acf_from_intensity_samples
 
 _JSON_PAIR = "[%.17g, %.17g]"
 _CSV_PAIR = "%.17g,%.17g"
@@ -115,6 +115,13 @@ def acf_from_dict(data: dict) -> Autocorrelation:
         raise ValueError(
             f"autocorrelation for n={n} needs {2 * n - 1} coefficients, got {len(coeffs)}")
     return Autocorrelation(coeffs)
+
+
+def acf_from_samples_dict(data: dict, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Autocorrelation:
+    """`acf_from_intensity_samples` of a document's (omega, intensity) pairs."""
+    with _reading("samples"):
+        n, samples = _integer(data["n"]), [(float(w), float(v)) for w, v in data["samples"]]
+    return acf_from_intensity_samples(samples, n, cfg)
 
 
 def constraint_to_dict(c: Constraint) -> dict:

@@ -16,6 +16,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 
 _TRIM_THRESHOLD = 1e-12
 """Boundary entries below this times the peak modulus are trimmed from a support."""
+_CANONICAL_TOL = 2e-9  # relative band of the canonical pivot and of the reflection order
 _PROBE_COUNT = 512
 _PROBE_START = 0.001
 """A fitted intensity must be non-negative on the `_PROBE_COUNT` equispaced
@@ -116,7 +117,7 @@ class CanonicalForm:
     """Distinguished representative of a signal modulo trivial transforms.
 
     The support starts at zero, the pivot (the lowest index whose modulus is
-    within cfg.tol(1) of the peak modulus, relatively, so moduli tied up to
+    within `_CANONICAL_TOL` of the peak modulus, relatively, so moduli tied up to
     rounding never split the rotations of one signal) is rotated onto the
     positive real axis, and `reflected` records whether the
     conjugate-reflected orientation was chosen.  Every comparison is relative
@@ -188,25 +189,25 @@ def _support_bounds(rows: np.ndarray):
     return keep.any(axis=1), keep.argmax(axis=1), last
 
 
-def _phase_fixed(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Rotate rows so each pivot (lowest index within a relative cfg.tol(1) of
-    the peak modulus) is positive."""
+def _phase_fixed(rows: np.ndarray) -> np.ndarray:
+    """Rotate rows so each pivot (lowest index within a relative `_CANONICAL_TOL`
+    of the peak modulus) is positive."""
     mags = np.abs(rows)
     at = np.arange(rows.shape[0])
     peaks = mags.max(axis=1, keepdims=True)
-    pivot = np.argmax(mags >= peaks - cfg.tol(1.0) * peaks, axis=1)
+    pivot = np.argmax(mags >= peaks - _CANONICAL_TOL * peaks, axis=1)
     unit = rows[at, pivot] / mags[at, pivot]
     return rows * np.conj(unit)[:, None]
 
 
-def _lexicographically_before(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _lexicographically_before(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a < b, componentwise by real then imaginary part.
 
-    Entries closer than cfg.tol(1) times the largest modulus of the row pair
-    count as equal; rows equal throughout are not before.
+    Entries closer than `_CANONICAL_TOL` times the largest modulus of the row
+    pair count as equal; rows equal throughout are not before.
     """
     scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
-    band = cfg.tol(1.0) * scale
+    band = _CANONICAL_TOL * scale
     flat_a, flat_b = a.view(np.float64), b.view(np.float64)
     apart = np.abs(flat_a - flat_b) > band[:, None]
     at = np.arange(a.shape[0])
@@ -214,30 +215,28 @@ def _lexicographically_before(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig
     return apart[at, first] & (flat_a[at, first] < flat_b[at, first])
 
 
-def _canonical_rows(rows: np.ndarray, modulo_reflection: bool = False,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG):
+def _canonical_rows(rows: np.ndarray, modulo_reflection: bool = False):
     """Canonical forms of the rows of a (K, L) array and their `reflected` flags.
 
     `canonicalize` is the one-row case, so both agree bit for bit.
     """
-    forms = _phase_fixed(rows, cfg)
+    forms = _phase_fixed(rows)
     reflected = np.zeros(rows.shape[0], dtype=bool)
     if modulo_reflection:
-        mirror = _phase_fixed(np.conj(rows[:, ::-1]), cfg)
-        reflected = _lexicographically_before(mirror, forms, cfg)
+        mirror = _phase_fixed(np.conj(rows[:, ::-1]))
+        reflected = _lexicographically_before(mirror, forms)
         forms = np.where(reflected[:, None], mirror, forms)
     return forms, reflected
 
 
-def canonicalize(x: Signal, modulo_reflection: bool = False,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG) -> CanonicalForm:
+def canonicalize(x: Signal, modulo_reflection: bool = False) -> CanonicalForm:
     """Canonical representative of x modulo rotations and shifts.
 
     With `modulo_reflection` the conjugate-reflected orientation competes as
     well and the lexicographically smaller form (componentwise by real part,
     then imaginary part) is returned.
     """
-    forms, reflected = _canonical_rows(x.values[None, :], modulo_reflection, cfg)
+    forms, reflected = _canonical_rows(x.values[None, :], modulo_reflection)
     return CanonicalForm(forms[0], reflected=bool(reflected[0]))
 
 

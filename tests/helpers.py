@@ -109,8 +109,7 @@ def classes_matching_constraints(zeros, targets, modulo_reflection, cfg=None):
     top_lag = float(np.prod(np.abs(zeros)))
     x = synthesize(zeros, top_lag)
     pairs = pairs_from_zeros(zeros, leading=top_lag, cfg=cfg)
-    classes = enumerate_solutions(pairs, modulo_reflection=modulo_reflection,
-                                  cfg=cfg)
+    classes = enumerate_solutions(pairs, modulo_reflection=modulo_reflection)
     constraints = constraints_from_signal(x, targets)
     return filter_by_constraints(classes, constraints, cfg), x
 
@@ -133,7 +132,7 @@ def acf_of(values, offset=0):
     return autocorrelation(Signal(offset, values))
 
 
-def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
+def reference_enumeration(pairs, modulo_reflection=False):
     """Per-selection enumeration with a greedy pairwise dedupe.
 
     Every choice in `itertools.product` order is synthesized and
@@ -149,7 +148,7 @@ def reference_enumeration(pairs, modulo_reflection=False, cfg=DEFAULT_CONFIG):
     near = 0
     for counts in itertools.product(*options):
         form = canonicalize(synthesize(masked_zeros(pairs, counts), pairs.leading),
-                            modulo_reflection=modulo_reflection, cfg=cfg)
+                            modulo_reflection=modulo_reflection)
         total += 1
         matched = False
         for existing in classes:
@@ -200,7 +199,7 @@ def masked_zeros(pairs, mask):
     return zeros
 
 
-def assert_same_solutions(got, want, pairs, cfg=DEFAULT_CONFIG):
+def assert_same_solutions(got, want, pairs):
     """Equal solution sets: counts, order, masks, flags, bitwise values.
 
     Each mask must also mean its class: the zeros it picks from `pairs`,
@@ -214,7 +213,7 @@ def assert_same_solutions(got, want, pairs, cfg=DEFAULT_CONFIG):
         assert a.reflected == b.reflected
         assert a.values.tobytes() == b.values.tobytes()
         form = canonicalize(synthesize(masked_zeros(pairs, a.mask), pairs.leading),
-                            modulo_reflection=got.modulo_reflection, cfg=cfg)
+                            modulo_reflection=got.modulo_reflection)
         assert form_distance(form, a.values) <= _DEDUPE_TOL * float(np.abs(a.values).max())
 
 
@@ -390,7 +389,7 @@ def reference_filter(solutions, constraints, cfg=DEFAULT_CONFIG):
     return keep
 
 
-def reference_verify(pair, cfg=DEFAULT_CONFIG, probes=None):
+def reference_verify(pair, probes=None):
     """`verify_counterexample` decided for one pair on its own.
 
     Both signals are transformed over their actual support indices and
@@ -408,8 +407,8 @@ def reference_verify(pair, cfg=DEFAULT_CONFIG, probes=None):
     else:
         modulus_gap = phase_gap = float("inf")
     canonical_gap = form_distance(
-        canonicalize(pair.x, modulo_reflection=True, cfg=cfg),
-        canonicalize(pair.y, modulo_reflection=True, cfg=cfg))
+        canonicalize(pair.x, modulo_reflection=True),
+        canonicalize(pair.y, modulo_reflection=True))
     return {
         "intensity_gap": intensity_gap,
         "modulus_gap": modulus_gap,
@@ -430,8 +429,8 @@ def reference_phase_partners(zeros, cfg=DEFAULT_CONFIG):
     top_lag = np.prod([abs(z) for z in items])
     reference = synthesize(items, top_lag)
     pairs = pairs_from_zeros(items, leading=top_lag, cfg=cfg)
-    solutions = enumerate_solutions(pairs, modulo_reflection=True, cfg=cfg)
-    reference_form = canonicalize(reference, modulo_reflection=True, cfg=cfg)
+    solutions = enumerate_solutions(pairs, modulo_reflection=True)
+    reference_form = canonicalize(reference, modulo_reflection=True)
     gaps = [form_distance(cls.values, reference_form) for cls in solutions.classes]
     own = int(np.argmin(gaps))
     if gaps[own] > _DEDUPE_TOL * float(np.abs(reference.values).max()):

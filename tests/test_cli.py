@@ -9,7 +9,7 @@ from phase_toolkit import (Signal, autocorrelation, canonicalize,
                            enumerate_solutions, form_distance, fourier_intensity,
                            magnitude_counterexample, pairs_from_zeros,
                            phase_counterexample, recover, synthesize)
-from phase_toolkit.cli import _verification_probes, main
+from phase_toolkit.cli import _build_parser, _verification_probes, main
 from phase_toolkit.serialization import (constraints_from_list, dumps, signal_from_dict,
                                          signal_to_dict, solution_set_to_dict)
 
@@ -273,9 +273,9 @@ def test_counterexample_requires_parameters(capsys):
 
 def test_deterministic_output(tmp_path, capsys):
     path = _write_signal(tmp_path / "s.json", [1.0, 2.0 - 1.0j, 0.5j])
-    main(["enumerate", path, "--seed", "7"])
+    main(["enumerate", path])
     first = capsys.readouterr().out
-    main(["enumerate", path, "--seed", "7"])
+    main(["enumerate", path])
     second = capsys.readouterr().out
     assert first == second
 
@@ -495,6 +495,61 @@ def test_usage_errors_print_one_error_line(tmp_path, capsys, argv, document, mes
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("document", [
+    {"samples": [[0, 1]]},
+    {"n": 2, "samples": 5},
+    {"n": 2, "samples": [[0, 1, 2]]},
+    {"n": 2, "samples": [0, 1]},
+], ids=["missing-n", "samples-not-a-list", "three-entries", "bare-numbers"])
+def test_malformed_samples_documents_are_named(tmp_path, capsys, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    rc = main(["enumerate", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed samples document: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "r.json")
+    rc = main([command, _write_signal(tmp_path / "s.json", [1.0, 2.0]), "--out", target])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "s.json", "--format", "csv"],
+    ["analyze", "s.json", "--seed", "7"],
+    ["enumerate", "s.json", "--seed", "7"],
+    ["enumerate", "s.json", "--criterion-tol", "1e-6"],
+    ["recover", "s.json", "c.json", "--seed", "7"],
+    ["recover", "s.json", "c.json", "--criterion-tol", "1e-6"],
+    ["counterexample", "phase", "--zeros=-2,-3", "--criterion-tol", "1e-6"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_subcommands_accept_the_flags_they_read():
+    parser = _build_parser()
+    for argv in (["analyze", "s.json", "--criterion-tol", "1e-6"],
+                 ["enumerate", "s.json", "--format", "csv"],
+                 ["recover", "s.json", "c.json", "--format", "csv"],
+                 ["counterexample", "phase", "--seed", "7", "--format", "csv"]):
+        args = parser.parse_args(argv + ["--tol-abs", "1e-9", "--tol-rel", "1e-9",
+                                         "--circle-tol", "1e-8", "--out", "r.json"])
+        assert args.out == "r.json"
 
 
 def test_counterexample_phase_rejects_complex_zeros(capsys):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from phase_toolkit import (DEFAULT_CONFIG, CounterexamplePair, Signal,
+from phase_toolkit import (CounterexamplePair, Signal,
                            canonicalize, enumerate_solutions, form_distance,
                            magnitude_counterexample, pairs_from_zeros,
                            phase_counterexample, synthesize,
@@ -168,11 +168,11 @@ def _assert_family_matches_reference(x, partners, probes):
     For a pair that shares its intensity the gap measures rounding; for one
     that does not (trimmed zero sets), its rounding scales with the larger peak.
     """
-    gaps = _verify_family(x, partners, DEFAULT_CONFIG, probes)
+    gaps = _verify_family(x, partners, probes)
     assert all(gap.shape == (len(partners),) for gap in gaps.values())
     for i, y in enumerate(partners):
         peak = float(max(np.abs(x.values).max(), np.abs(y.values).max()))
-        want = reference_verify(CounterexamplePair(x, y, False, False), DEFAULT_CONFIG, probes)
+        want = reference_verify(CounterexamplePair(x, y, False, False), probes=probes)
         assert list(gaps) == list(want)
         for key in ("modulus_gap", "phase_gap", "canonical_gap"):
             assert gaps[key][i] == want[key], (key, x.values, y.values)

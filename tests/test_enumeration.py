@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phase_toolkit import (Constraint, Signal, SolutionSet, autocorrelation,
+from phase_toolkit import (DEFAULT_CONFIG, Constraint, Signal, SolutionSet, autocorrelation,
                            canonicalize, cluster_roots, enumerate_solutions,
                            filter_by_constraints, form_distance,
                            fourier_intensity, pairs_from_zeros, recover,
@@ -356,6 +357,17 @@ def test_near_tied_peak_moduli_pick_one_pivot():
     pairs = pairs_from_zeros([r, -1.0 / r])
     assert len(enumerate_solutions(pairs)) == 4
     assert len(enumerate_solutions(pairs, modulo_reflection=True)) == 2
+
+
+@pytest.mark.parametrize("modulo_reflection", [False, True])
+def test_class_values_do_not_depend_on_the_tolerances(modulo_reflection):
+    # moduli 1 and 1.0005 tie for the pivot within a relative 1e-3; the
+    # canonical band is fixed, so a looser rtol must not rotate any class
+    x = Signal(0, [1, 1.0005, 0.3j])
+    loose = dataclasses.replace(DEFAULT_CONFIG, rtol=1e-3)
+    got = recover(x, (), loose, modulo_reflection).classes
+    want = recover(x, (), DEFAULT_CONFIG, modulo_reflection).classes
+    assert [c.values.tobytes() for c in got] == [c.values.tobytes() for c in want]
 
 
 def test_tiny_signals_keep_their_classes():
